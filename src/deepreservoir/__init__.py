@@ -14,6 +14,7 @@ from .reservoir import (
     build_deep_reservoir,
     build_layer,
     build_residual,
+    final_states,
     forward,
     readout_features,
     step,
@@ -38,6 +39,7 @@ __all__ = [
     "build_deep_reservoir",
     "build_layer",
     "build_residual",
+    "final_states",
     "forward",
     "readout_features",
     "step",

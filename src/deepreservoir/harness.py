@@ -30,6 +30,7 @@ from .reservoir import (
     StateOverflowError,
     allocate_units,
     build_deep_reservoir,
+    final_states,
     forward,
     readout_features,
 )
@@ -270,7 +271,7 @@ def _regression_metrics(config: ExperimentConfig, deep: DeepReservoir,
     # benchmark tables normalize by the target's root mean square (the
     # convention the published per-task numbers follow), not its std
     traj = forward(deep, dataset.inputs, washout=config.washout)
-    feats = readout_features(traj, config.concat, "per-step")
+    feats = readout_features(traj, config.concat)
     targets = np.asarray(dataset.targets, dtype=float)
     sp = dataset.split
 
@@ -286,13 +287,24 @@ def _regression_metrics(config: ExperimentConfig, deep: DeepReservoir,
             nrmse(predict(model, test_x), test_y, normalizer="rms"))
 
 
+def _last_state_features(deep: DeepReservoir, sequences: list[np.ndarray],
+                         concat: bool) -> np.ndarray:
+    """One row per sequence: its last state, of every layer with concat and
+    of the last layer otherwise. Sequences of one length run as one batch."""
+    by_length: dict[int, list[int]] = {}
+    for i, seq in enumerate(sequences):
+        by_length.setdefault(len(seq), []).append(i)
+    kept = deep.layers if concat else deep.layers[-1:]
+    feats = np.empty((len(sequences), sum(layer.size for layer in kept)))
+    for idx in by_length.values():
+        states = final_states(deep, np.stack([sequences[i] for i in idx]))
+        feats[idx] = np.hstack(states[-len(kept):])
+    return feats
+
+
 def _classification_metrics(config: ExperimentConfig, deep: DeepReservoir,
                             dataset: Dataset) -> tuple[float, float]:
-    rows = []
-    for seq in dataset.inputs:
-        traj = forward(deep, seq, washout=0)
-        rows.append(readout_features(traj, config.concat, "last-step")[0])
-    feats = np.asarray(rows)
+    feats = _last_state_features(deep, dataset.inputs, config.concat)
     labels = np.asarray(dataset.targets, dtype=int)
     sp = dataset.split
     targets = one_hot(labels, dataset.n_classes)
@@ -302,13 +314,19 @@ def _classification_metrics(config: ExperimentConfig, deep: DeepReservoir,
     return val, test
 
 
+def _require_scorable_split(dataset: Dataset) -> None:
+    if dataset.split is None:
+        raise ValueError("dataset has no split attached")
+    if len(dataset.split.test) == 0:
+        raise ValueError("dataset has an empty test split: no samples to score a trial on")
+
+
 def run_trial(config: ExperimentConfig, dataset: Dataset, seed: int) -> TrialResult:
     """Build, run, fit, and score one (config, seed) pair.
 
     Unstable dynamics are reported as a failed trial rather than raised.
     """
-    if dataset.split is None:
-        raise ValueError("dataset has no split attached")
+    _require_scorable_split(dataset)
     started = time.perf_counter()
     try:
         rng = RngStream(seed)
@@ -375,6 +393,7 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
     """
     if budget < 1:
         raise ValueError("search budget must be >= 1")
+    _require_scorable_split(dataset)
     sampler = RngStream(master_seed).child("sampler")
     configs = [
         sample_config(grid, model_class, task, task_class, sampler,

@@ -117,17 +117,6 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(eigenvalues(m))))
 
 
-def rescale_to_rho(m: np.ndarray, target_rho: float) -> np.ndarray:
-    """Scale a square matrix so its spectral radius equals target_rho."""
-    m = _require_square(m)
-    if target_rho <= 0:
-        raise ValueError("target spectral radius must be positive")
-    rho = spectral_radius(m)
-    if rho == 0.0:
-        raise ValueError("cannot rescale a matrix with zero spectral radius")
-    return m * (target_rho / rho)
-
-
 def operator_norm_2(m: np.ndarray) -> float:
     """Largest singular value."""
     m = np.asarray(m, dtype=float)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, rescale_to_rho, spectral_radius, uniform_matrix
+from .numerics import RngStream, spectral_radius, uniform_matrix
 
 # Module-level activation so tests can probe the dynamics with a linear map.
 # The supported model is tanh; this is not a configuration surface.
@@ -179,8 +179,9 @@ def build_layer(config: LayerConfig, input_dim: int, rng: RngStream,
     w_h = None
     for _ in range(1 + _NILPOTENT_RETRIES):
         raw = uniform_matrix(n, n, -1.0, 1.0, rng)
-        if spectral_radius(raw) > 0.0:
-            w_h = rescale_to_rho(raw, config.spectral_radius)
+        rho = spectral_radius(raw)
+        if rho > 0.0:
+            w_h = raw * (config.spectral_radius / rho)
             break
     if w_h is None:
         raise ValueError("recurrent matrix draw has zero spectral radius after retries")
@@ -222,24 +223,38 @@ def build_deep_reservoir(configs: list[LayerConfig], input_dim: int, rng: RngStr
 
 def _apply_residual(layer: Layer, h: np.ndarray) -> np.ndarray:
     # identity and cyclic short-cuts are exact (permutation rows sum a
-    # single product), not approximations of the matmul
+    # single product), not approximations of the matmul; states are rows,
+    # so a leading batch axis passes through
     if layer.kind is ResidualKind.IDENTITY:
         return h
     if layer.kind is ResidualKind.CYCLIC:
-        return np.roll(h, 1)
-    return layer.o @ h
+        # the shift np.roll(h, 1, axis=-1) makes, in a third of its time
+        return np.concatenate((h[..., -1:], h[..., :-1]), axis=-1)
+    return h @ layer.o.T
 
 
 def step_layer(layer: Layer, h_prev: np.ndarray, x_t: np.ndarray) -> np.ndarray:
-    """One state update of a single layer."""
+    """One state update of a single layer.
+
+    h_prev is (N,) and x_t is (N_x,), or (B, N) and (B, N_x) to advance B
+    states through the same weights with one matrix product.
+    """
     h_prev = np.asarray(h_prev, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
-    if h_prev.shape != (layer.size,):
-        raise ValueError(f"state has shape {h_prev.shape}, layer expects ({layer.size},)")
-    if x_t.shape != (layer.input_dim,):
-        raise ValueError(f"input has shape {x_t.shape}, layer expects ({layer.input_dim},)")
-    z = layer.w_h @ h_prev + layer.w_x @ x_t + layer.b
-    h = layer.alpha * _apply_residual(layer, h_prev) + layer.beta * _activation(z)
+    if h_prev.ndim not in (1, 2) or h_prev.shape[-1] != layer.size:
+        raise ValueError(f"state has shape {h_prev.shape}, layer expects (..., {layer.size})")
+    if x_t.shape != h_prev.shape[:-1] + (layer.input_dim,):
+        raise ValueError(f"input has shape {x_t.shape}, layer expects "
+                         f"{h_prev.shape[:-1] + (layer.input_dim,)}")
+    # h = alpha * O h_prev + beta * phi(W_h h_prev + W_x x_t + b), evaluated
+    # in place on the fresh arrays to spare temporaries on large batches
+    z = h_prev @ layer.w_h.T
+    z += x_t @ layer.w_x.T
+    z += layer.b
+    z = _activation(z)
+    z *= layer.beta
+    h = layer.alpha * _apply_residual(layer, h_prev)
+    h += z
     if not np.all(np.isfinite(h)):
         raise StateOverflowError("layer state became non-finite")
     return h
@@ -247,7 +262,8 @@ def step_layer(layer: Layer, h_prev: np.ndarray, x_t: np.ndarray) -> np.ndarray:
 
 def step(deep: DeepReservoir, h_prev: list[np.ndarray], x_t: np.ndarray) -> list[np.ndarray]:
     """One global update: every layer advances once, layer l > 1 fed by the
-    fresh state of layer l - 1."""
+    fresh state of layer l - 1. States and input may carry a leading batch
+    axis, as in step_layer."""
     if len(h_prev) != deep.n_layers:
         raise ValueError("global state must have one vector per layer")
     out: list[np.ndarray] = []
@@ -259,14 +275,48 @@ def step(deep: DeepReservoir, h_prev: list[np.ndarray], x_t: np.ndarray) -> list
     return out
 
 
+def _require_finite_inputs(inputs: np.ndarray) -> None:
+    """Reject a non-finite input, naming its first step (and, for a
+    (B, T, N_x) batch, its sequence)."""
+    bad = ~np.isfinite(inputs).all(axis=-1)
+    if not bad.any():
+        return
+    where = np.argwhere(bad)[0]
+    if inputs.ndim == 2:
+        raise ValueError(f"non-finite input at step {where[0]}")
+    raise ValueError(f"non-finite input at step {where[1]} of sequence {where[0]}")
+
+
+def final_states(deep: DeepReservoir, batch: np.ndarray) -> list[np.ndarray]:
+    """Last state of every layer for B equal-length sequences run together.
+
+    batch is (B, T, N_x); every sequence starts from the zero state. All B
+    sequences advance one time step at a time through step, so each layer
+    does one (B, N) matrix product per step and holds only its current
+    state: nothing of size T is kept. Returns one (B, N_l) array per layer.
+    """
+    batch = np.asarray(batch, dtype=float)
+    if batch.ndim != 3 or batch.shape[0] == 0 or batch.shape[1] == 0:
+        raise ValueError(f"batch has shape {batch.shape}, expected non-empty (B, T, N_x)")
+    if batch.shape[2] != deep.input_dim:
+        raise ValueError(
+            f"input dim {batch.shape[2]} does not match reservoir input {deep.input_dim}"
+        )
+    _require_finite_inputs(batch)
+    h = [np.zeros((batch.shape[0], layer.size)) for layer in deep.layers]
+    for t in range(batch.shape[1]):
+        h = step(deep, h, batch[:, t])
+    return h
+
+
 def forward(deep: DeepReservoir, inputs: np.ndarray, washout: int = 0,
             h0: list[np.ndarray] | None = None, check_every: int = 100) -> StateTrajectory:
     """Run the stack over an input sequence.
 
     inputs is (T, N_x) or (T,) for scalar series. The trajectory keeps every
     step; washout only marks the boundary later used by feature extraction.
-    States are checked for finiteness every check_every steps (1 = every
-    step).
+    A non-finite input is rejected on entry, naming its step. States are
+    checked for finiteness every check_every steps (1 = every step).
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
@@ -282,6 +332,7 @@ def forward(deep: DeepReservoir, inputs: np.ndarray, washout: int = 0,
         raise ValueError(f"washout {washout} must be < sequence length {t_total}")
     if check_every < 1:
         raise ValueError("check_every must be >= 1")
+    _require_finite_inputs(inputs)
     if h0 is None:
         h0 = deep.zero_state()
 
@@ -345,18 +396,12 @@ def allocate_units(total: int, n_layers: int, concat: bool) -> list[int]:
     return sizes
 
 
-def readout_features(traj: StateTrajectory, concat: bool, mode: str = "per-step") -> np.ndarray:
-    """Assemble the feature matrix the readout consumes.
-
-    per-step gives one row per post-washout time step; last-step gives a
-    single row holding the final states. concat stacks all layers
-    horizontally, otherwise only the last layer contributes.
+def readout_features(traj: StateTrajectory, concat: bool) -> np.ndarray:
+    """Assemble the feature matrix the readout consumes: one row per
+    post-washout time step. concat stacks all layers horizontally,
+    otherwise only the last layer contributes.
     """
-    if mode not in ("per-step", "last-step"):
-        raise ValueError(f"unknown readout mode: {mode!r}")
     kept = traj.states if concat else traj.states[-1:]
-    if mode == "last-step":
-        return np.concatenate([s[-1] for s in kept])[None, :]
     if traj.washout >= traj.steps:
         raise ValueError("washout consumes every step, no features left")
     return np.hstack([s[traj.washout:] for s in kept])

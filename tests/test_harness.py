@@ -18,7 +18,14 @@ from deepreservoir.harness import (
     trial_seed,
 )
 from deepreservoir.numerics import RngStream
-from deepreservoir.reservoir import ResidualKind
+from deepreservoir.reservoir import LayerConfig, ResidualKind, build_deep_reservoir, forward
+from deepreservoir.tasks import (
+    Dataset,
+    load_sequence_classification,
+    merge_train_test,
+    split,
+    write_sequence_classification,
+)
 
 
 def _tiny_task(name="sinmem10", seed=0, length=600):
@@ -189,6 +196,68 @@ def test_run_trial_classification_path():
     assert not result.failed
     assert result.test_metric == 1.0  # trivially separable
     assert 0.0 <= result.val_metric <= 1.0
+
+
+def _toy_classification(seed, n_per_class, lengths):
+    """Two offset-noise classes; sequence i has length lengths[i % len(lengths)]."""
+    rng = RngStream(seed)
+    seqs, labels = [], []
+    for c in range(2):
+        for _ in range(n_per_class):
+            t = lengths[len(seqs) % len(lengths)]
+            seqs.append(rng.uniform(-0.2, 0.2, (t, 1)) + (0.8 if c else -0.8))
+            labels.append(c)
+    return Dataset(inputs=seqs, targets=np.asarray(labels), kind="classification")
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+@pytest.mark.parametrize("concat", [False, True])
+def test_last_state_features_match_per_sequence_forward(kind, concat):
+    # oracle: one forward call per sequence, last row of each kept layer
+    configs = [LayerConfig(hidden_size=n, spectral_radius=0.9, input_scaling=1.0,
+                           bias_scaling=0.1, alpha=0.5, beta=0.5, residual=kind)
+               for n in (12, 8, 10)]
+    deep = build_deep_reservoir(configs, 1, RngStream(90), concat=concat)
+    sequences = _toy_classification(91, 5, lengths=(15, 22, 9)).inputs
+    feats = harness._last_state_features(deep, sequences, concat)
+    for seq, row in zip(sequences, feats):
+        states = forward(deep, seq).states
+        want = np.concatenate([s[-1] for s in (states if concat else states[-1:])])
+        assert row.shape == want.shape
+        assert np.max(np.abs(row - want)) < 1e-12
+
+
+def test_classification_search_parallelism_invariant():
+    ds = split(merge_train_test(_toy_classification(32, 8, (12, 17)),
+                                _toy_classification(33, 4, (12, 17))), 0.7, seed=2)
+    kwargs = dict(budget=3, n_seeds=2, master_seed=5, total_units=12)
+    best1, t1 = random_search(HyperGrid(), ModelClass.DEEP_RES_ESN_C, ds, "toy",
+                              "classification", jobs=1, **kwargs)
+    best2, t2 = random_search(HyperGrid(), ModelClass.DEEP_RES_ESN_C, ds, "toy",
+                              "classification", jobs=2, **kwargs)
+    assert best1 == best2
+    assert t1.to_csv_lines() == t2.to_csv_lines()
+
+
+def test_empty_test_split_rejected_before_any_trial(tmp_path, monkeypatch):
+    seqs = _toy_classification(34, 15, (20,))
+    path = tmp_path / "train.csv"
+    write_sequence_classification(path, seqs.inputs, seqs.targets)
+    ds = split(load_sequence_classification(path), 0.8)
+    assert len(ds.split.test) == 0
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
+                           task_class="classification", total_units=10, alpha=0.5,
+                           beta=0.5, washout=0, lam=0.1)
+    with pytest.raises(ValueError, match="empty test split"):
+        run_trial(cfg, ds, seed=1)
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    with pytest.raises(ValueError, match="empty test split"):
+        random_search(HyperGrid(), ModelClass.RES_ESN_I, ds, "toy", "classification",
+                      budget=2, n_seeds=1, master_seed=0)
 
 
 def test_trial_seed_stable_and_distinct():

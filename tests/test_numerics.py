@@ -8,7 +8,6 @@ from deepreservoir.numerics import (
     fft_magnitudes,
     operator_norm_2,
     qr_orthogonal,
-    rescale_to_rho,
     ridge_solve,
     spectral_radius,
     uniform_matrix,
@@ -156,7 +155,7 @@ def test_qr_orthogonal_rejects_zero_dim():
 
 
 # ---------------------------------------------------------------------------
-# spectral_radius / rescale_to_rho
+# spectral_radius
 
 
 def test_spectral_radius_identity():
@@ -177,27 +176,6 @@ def test_spectral_radius_vs_gelfand_oracle():
 def test_spectral_radius_rejects_non_square():
     with pytest.raises(ValueError):
         spectral_radius(np.ones((3, 4)))
-
-
-def test_rescale_identity():
-    assert np.allclose(rescale_to_rho(np.eye(4), 0.9), 0.9 * np.eye(4))
-
-
-def test_rescale_idempotent():
-    m = uniform_matrix(30, 30, -1, 1, RngStream(5))
-    once = rescale_to_rho(m, 1.3)
-    twice = rescale_to_rho(once, 1.3)
-    assert np.max(np.abs(once - twice)) < 1e-12
-
-
-def test_rescale_roundtrip_radius():
-    m = uniform_matrix(100, 100, -1, 1, RngStream(8))
-    assert spectral_radius(rescale_to_rho(m, 1.1)) == pytest.approx(1.1, abs=1e-8)
-
-
-def test_rescale_rejects_nilpotent():
-    with pytest.raises(ValueError):
-        rescale_to_rho(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deepreservoir import numerics, reservoir
 from deepreservoir.numerics import RngStream, spectral_radius
 from deepreservoir.reservoir import (
     DeepReservoir,
@@ -13,6 +14,7 @@ from deepreservoir.reservoir import (
     build_deep_reservoir,
     build_layer,
     build_residual,
+    final_states,
     forward,
     readout_features,
     step,
@@ -100,6 +102,56 @@ def test_recurrent_matrix_hits_target_radius():
     assert spectral_radius(layer.w_h) == pytest.approx(1.1, abs=1e-8)
 
 
+def test_build_layer_radius_at_full_size():
+    layer = build_layer(_config(n=100, rho=1.1), 1, RngStream(8))
+    assert spectral_radius(layer.w_h) == pytest.approx(1.1, abs=1e-8)
+
+
+def test_build_layer_one_eigendecomposition_per_draw(monkeypatch):
+    calls = []
+    original = numerics.eigenvalues
+
+    def counted(m):
+        calls.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(numerics, "eigenvalues", counted)
+    build_layer(_config(), 2, RngStream(5))
+    assert calls == [(10, 10)]
+
+
+def _zero_square_draws(monkeypatch, zero_draws):
+    """Make the first zero_draws square draws of build_layer all zeros."""
+    draws = []
+    original = reservoir.uniform_matrix
+
+    def patched(rows, cols, lo, hi, rng):
+        m = original(rows, cols, lo, hi, rng)
+        if rows == cols:
+            draws.append(m)
+            if len(draws) <= zero_draws:
+                return np.zeros_like(m)
+        return m
+
+    monkeypatch.setattr(reservoir, "uniform_matrix", patched)
+    return draws
+
+
+def test_build_layer_retries_zero_radius_draw(monkeypatch):
+    draws = _zero_square_draws(monkeypatch, zero_draws=1)
+    layer = build_layer(_config(n=6, rho=0.8), 2, RngStream(3))
+    assert len(draws) == 2
+    assert spectral_radius(layer.w_h) == pytest.approx(0.8, abs=1e-10)
+    assert np.array_equal(layer.w_h, draws[1] * (0.8 / spectral_radius(draws[1])))
+
+
+def test_build_layer_rejects_zero_radius_draws_after_retries(monkeypatch):
+    draws = _zero_square_draws(monkeypatch, zero_draws=100)
+    with pytest.raises(ValueError, match="zero spectral radius"):
+        build_layer(_config(n=6), 2, RngStream(3))
+    assert len(draws) == 1 + reservoir._NILPOTENT_RETRIES
+
+
 def test_build_layer_deterministic():
     a = build_layer(_config(), 4, RngStream(9))
     b = build_layer(_config(), 4, RngStream(9))
@@ -160,6 +212,21 @@ def test_step_dimension_mismatch():
         step_layer(layer, np.zeros(9), np.zeros(2))
     with pytest.raises(ValueError):
         step_layer(layer, np.zeros(10), np.zeros(3))
+    with pytest.raises(ValueError):
+        step_layer(layer, np.zeros((4, 10)), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        step_layer(layer, np.zeros((4, 10)), np.zeros(2))
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_batched_step_matches_row_by_row(kind):
+    layer = build_layer(_config(kind=kind), 2, RngStream(7))
+    h_prev = RngStream(12).uniform(-1, 1, (5, 10))
+    x = RngStream(13).uniform(-1, 1, (5, 2))
+    batched = step_layer(layer, h_prev, x)
+    assert batched.shape == (5, 10)
+    for b in range(5):
+        assert np.max(np.abs(batched[b] - step_layer(layer, h_prev[b], x[b]))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +331,14 @@ def test_forward_rejects_bad_inputs():
         forward(deep, np.zeros((10, 1)), washout=10)
 
 
+def test_forward_names_non_finite_input_step():
+    deep = build_deep_reservoir([_config()], 1, RngStream(54))
+    inputs = RngStream(55).uniform(-1, 1, (400, 1))
+    inputs[250, 0] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite input at step 250$"):
+        forward(deep, inputs)
+
+
 def test_forward_flags_non_finite_states():
     deep = build_deep_reservoir([_config()], 1, RngStream(55))
     h0 = [np.full(10, np.inf)]
@@ -280,6 +355,44 @@ def test_step_chains_layers_like_forward():
         h = step(deep, h, inputs[t])
     for l in range(2):
         assert np.max(np.abs(h[l] - traj.states[l][-1])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched final states
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_final_states_match_forward_last_states(kind):
+    configs = [_config(n=n, kind=kind) for n in (12, 8, 10)]
+    deep = build_deep_reservoir(configs, 2, RngStream(80))
+    batch = RngStream(81).uniform(-1, 1, (6, 40, 2))
+    states = final_states(deep, batch)
+    assert [s.shape for s in states] == [(6, 12), (6, 8), (6, 10)]
+    for b in range(6):
+        traj = forward(deep, batch[b])
+        for got, want in zip(states, traj.states):
+            assert np.max(np.abs(got[b] - want[-1])) < 1e-12
+
+
+def test_final_states_rejects_bad_batches():
+    deep = build_deep_reservoir([_config()], 1, RngStream(84))
+    with pytest.raises(ValueError):
+        final_states(deep, np.zeros((0, 5, 1)))
+    with pytest.raises(ValueError):
+        final_states(deep, np.zeros((2, 0, 1)))
+    with pytest.raises(ValueError):
+        final_states(deep, np.zeros((2, 5, 3)))
+    with pytest.raises(ValueError):
+        final_states(deep, np.zeros((2, 5)))
+
+
+def test_final_states_names_non_finite_input():
+    deep = build_deep_reservoir([_config()], 1, RngStream(85))
+    batch = RngStream(86).uniform(-1, 1, (4, 400, 1))
+    batch[2, 250, 0] = np.inf
+    batch[3, 100, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite input at step 250 of sequence 2"):
+        final_states(deep, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +434,6 @@ def test_readout_features_concat_width_matches_unit_budget():
     deep = build_deep_reservoir(configs, 1, RngStream(64), concat=True)
     traj = forward(deep, RngStream(65).uniform(-1, 1, (50, 1)), washout=10)
     assert readout_features(traj, True).shape == (40, 100)
-
-
-def test_readout_features_last_step_mode():
-    deep = build_deep_reservoir([_config(), _config()], 1, RngStream(66), concat=True)
-    traj = forward(deep, RngStream(67).uniform(-1, 1, (25, 1)))
-    row = readout_features(traj, True, "last-step")
-    assert row.shape == (1, 20)
-    assert np.array_equal(row[0, :10], traj.states[0][-1])
-    assert np.array_equal(row[0, 10:], traj.states[1][-1])
 
 
 def test_trajectory_validates_washout():
