@@ -45,8 +45,7 @@ def multisine(t_steps: int) -> np.ndarray:
 
 
 def layerwise_spectra(configs: list[LayerConfig], signal: np.ndarray, trials: int,
-                      seed: int, washout: int = 0,
-                      shared_residual: bool = False) -> SpectralProfile:
+                      seed: int, washout: int = 0) -> SpectralProfile:
     """Average per-layer state spectra over freshly built reservoirs.
 
     Each trial rebuilds the stack from a child stream of the seed, runs it
@@ -62,8 +61,7 @@ def layerwise_spectra(configs: list[LayerConfig], signal: np.ndarray, trials: in
     kept = len(signal) - washout
     for trial in range(trials):
         rng = master.child(("trial", trial))
-        deep = build_deep_reservoir(configs, input_dim=1, rng=rng,
-                                    shared_residual=shared_residual)
+        deep = build_deep_reservoir(configs, input_dim=1, rng=rng)
         traj = forward(deep, signal, washout=washout)
         per_layer = []
         for states in traj.states:

@@ -134,7 +134,7 @@ def _cmd_run(args) -> None:
     dataset, _ = harness.make_task(config.task, args.seed, length=args.length)
     trials = [harness.run_trial(config, dataset, harness.trial_seed(args.seed, config.config_id, j))
               for j in range(args.seeds)]
-    table = harness.aggregate(trials, higher_is_better=config.task_class == "classification")
+    table = harness.aggregate(trials)
     harness.emit_reports(args.out, table=table, manifest={"config": config.to_dict(),
                                                           "master_seed": args.seed,
                                                           "seeds": args.seeds})

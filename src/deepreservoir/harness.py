@@ -34,7 +34,7 @@ from .reservoir import (
     forward,
     readout_features,
 )
-from .tasks import Dataset, GenerationError
+from .tasks import Dataset
 
 
 class ModelClass(enum.Enum):
@@ -123,7 +123,6 @@ class ExperimentConfig:
     inter_beta: float | None = None
     lam: float = 0.0
     washout: int = 200
-    readout_mode: str = "per-step"
     config_id: int = 0
 
     def __post_init__(self):
@@ -181,6 +180,7 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         d = dict(d)
         d["model_class"] = ModelClass(d["model_class"])
+        d.pop("readout_mode", None)  # written by older versions, never read
         return ExperimentConfig(**d)
 
 
@@ -201,7 +201,6 @@ class ResultsTable:
 
     rows: list[dict]
     trials: list[TrialResult] = field(default_factory=list)
-    higher_is_better: bool = False
 
     def to_csv_lines(self) -> list[str]:
         header = "config_id,val_mean,val_std,test_mean,test_std,n_seeds,n_failed"
@@ -237,7 +236,6 @@ def sample_config(grid: HyperGrid, model_class: ModelClass, task: str, task_clas
         "omega_b": rng.choice(grid.omega_b),
         "lam": rng.choice(grid.lam_values(task_class)),
         "washout": 0 if task_class == "classification" else washout,
-        "readout_mode": "last-step" if task_class == "classification" else "per-step",
         "config_id": config_id,
     }
     if model_class.is_leaky:
@@ -260,10 +258,15 @@ def sample_config(grid: HyperGrid, model_class: ModelClass, task: str, task_clas
     return ExperimentConfig(**kwargs)
 
 
+def _as_steps(x) -> np.ndarray:
+    """A sequence as (T, N_x) rows; a (T,) series has N_x = 1."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(len(x), -1)
+
+
 def _input_dim(dataset: Dataset) -> int:
-    if dataset.kind == "regression":
-        return np.atleast_2d(dataset.inputs).shape[1]
-    return np.atleast_2d(dataset.inputs[0]).shape[1]
+    first = dataset.inputs if dataset.kind == "regression" else dataset.inputs[0]
+    return _as_steps(first).shape[1]
 
 
 def _regression_metrics(config: ExperimentConfig, deep: DeepReservoir,
@@ -297,7 +300,7 @@ def _last_state_features(deep: DeepReservoir, sequences: list[np.ndarray],
     kept = deep.layers if concat else deep.layers[-1:]
     feats = np.empty((len(sequences), sum(layer.size for layer in kept)))
     for idx in by_length.values():
-        states = final_states(deep, np.stack([sequences[i] for i in idx]))
+        states = final_states(deep, np.stack([_as_steps(sequences[i]) for i in idx]))
         feats[idx] = np.hstack(states[-len(kept):])
     return feats
 
@@ -344,7 +347,7 @@ def run_trial(config: ExperimentConfig, dataset: Dataset, seed: int) -> TrialRes
             raise StateOverflowError("non-finite metric")
         return TrialResult(config.config_id, seed, float(val), float(test),
                            time.perf_counter() - started)
-    except (StateOverflowError, GenerationError, np.linalg.LinAlgError) as exc:
+    except (StateOverflowError, np.linalg.LinAlgError) as exc:
         return TrialResult(config.config_id, seed, float("nan"), float("nan"),
                            time.perf_counter() - started, failed=True, error=str(exc))
 
@@ -359,7 +362,7 @@ def _run_trial_star(args) -> TrialResult:
     return run_trial(*args)
 
 
-def aggregate(trials: list[TrialResult], higher_is_better: bool) -> ResultsTable:
+def aggregate(trials: list[TrialResult]) -> ResultsTable:
     """Collapse trials into per-config means/stds over the succeeding seeds."""
     by_config: dict[int, list[TrialResult]] = {}
     for t in trials:
@@ -379,8 +382,7 @@ def aggregate(trials: list[TrialResult], higher_is_better: bool) -> ResultsTable
             "n_seeds": len(group),
             "n_failed": len(group) - len(ok),
         })
-    return ResultsTable(rows=rows, trials=sorted(trials, key=lambda t: (t.config_id, t.seed)),
-                        higher_is_better=higher_is_better)
+    return ResultsTable(rows=rows, trials=sorted(trials, key=lambda t: (t.config_id, t.seed)))
 
 
 def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
@@ -409,7 +411,7 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
         trials = [run_trial(*p) for p in pairs]
 
     higher = task_class == "classification"
-    table = aggregate(trials, higher_is_better=higher)
+    table = aggregate(trials)
 
     best_idx, best_score = None, None
     for row in table.rows:

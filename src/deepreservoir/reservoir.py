@@ -20,10 +20,6 @@ import numpy as np
 
 from .numerics import RngStream, spectral_radius, uniform_matrix
 
-# Module-level activation so tests can probe the dynamics with a linear map.
-# The supported model is tanh; this is not a configuration surface.
-_activation = np.tanh
-
 # Fresh draws attempted when W_h comes out with zero spectral radius.
 _NILPOTENT_RETRIES = 3
 
@@ -65,7 +61,12 @@ class LayerConfig:
 
 @dataclass
 class Layer:
-    """One instantiated reservoir layer."""
+    """One instantiated reservoir layer.
+
+    o is the dense residual matrix for every kind; the update applies the
+    identity and cyclic kinds without it, so for those o must be exactly
+    the matrix build_residual gives.
+    """
 
     w_x: np.ndarray
     w_h: np.ndarray
@@ -74,6 +75,14 @@ class Layer:
     alpha: float
     beta: float
     kind: ResidualKind
+
+    def __post_init__(self):
+        n = self.size
+        if self.kind is ResidualKind.RANDOM_ORTHOGONAL:
+            if self.o.shape != (n, n):
+                raise ValueError(f"residual matrix has shape {self.o.shape}, layer needs {(n, n)}")
+        elif not np.array_equal(self.o, build_residual(self.kind, n)):
+            raise ValueError(f"residual matrix is not the {self.kind.value} matrix of size {n}")
 
     @property
     def size(self) -> int:
@@ -149,10 +158,8 @@ def build_residual(kind: ResidualKind, n: int, rng: RngStream | None = None) -> 
     if kind is ResidualKind.IDENTITY:
         return np.eye(n)
     if kind is ResidualKind.CYCLIC:
-        c = np.zeros((n, n))
+        c = np.eye(n, k=-1)
         c[0, n - 1] = 1.0
-        for i in range(1, n):
-            c[i, i - 1] = 1.0
         return c
     if rng is None:
         raise ValueError("random orthogonal residual needs an RngStream")
@@ -161,8 +168,7 @@ def build_residual(kind: ResidualKind, n: int, rng: RngStream | None = None) -> 
     return qr_orthogonal(n, rng)
 
 
-def build_layer(config: LayerConfig, input_dim: int, rng: RngStream,
-                o_override: np.ndarray | None = None) -> Layer:
+def build_layer(config: LayerConfig, input_dim: int, rng: RngStream) -> Layer:
     """Instantiate a layer's weights from its config.
 
     Draw order is fixed (W_x, W_h, b, O) so a seed pins the full network.
@@ -187,50 +193,57 @@ def build_layer(config: LayerConfig, input_dim: int, rng: RngStream,
         raise ValueError("recurrent matrix draw has zero spectral radius after retries")
 
     b = rng.uniform(-1.0, 1.0, n) * config.bias_scaling
-    if o_override is not None:
-        if o_override.shape != (n, n):
-            raise ValueError("shared residual matrix does not match the layer size")
-        o = o_override
-    else:
-        o = build_residual(config.residual, n, rng)
+    o = build_residual(config.residual, n, rng)
     return Layer(w_x=w_x, w_h=w_h, b=b, o=o, alpha=config.alpha, beta=config.beta,
                  kind=config.residual)
 
 
 def build_deep_reservoir(configs: list[LayerConfig], input_dim: int, rng: RngStream,
-                         concat: bool = False, shared_residual: bool = False) -> DeepReservoir:
-    """Build a layer stack; layer l > 1 takes layer l-1's state as input.
-
-    With shared_residual the first layer's residual matrix is reused by all
-    layers (they must then share a hidden size); by default each layer draws
-    its own.
-    """
+                         concat: bool = False) -> DeepReservoir:
+    """Build a layer stack; layer l > 1 takes layer l-1's state as input."""
     if not configs:
         raise ValueError("need at least one layer config")
-    if shared_residual and len({c.hidden_size for c in configs}) != 1:
-        raise ValueError("shared residual matrix requires equal layer sizes")
     layers: list[Layer] = []
     dim = input_dim
-    shared_o = None
-    for i, cfg in enumerate(configs):
-        layer = build_layer(cfg, dim, rng, o_override=shared_o)
-        if shared_residual and i == 0:
-            shared_o = layer.o
-        layers.append(layer)
+    for cfg in configs:
+        layers.append(build_layer(cfg, dim, rng))
         dim = cfg.hidden_size
     return DeepReservoir(layers=layers, concat=concat)
 
 
-def _apply_residual(layer: Layer, h: np.ndarray) -> np.ndarray:
-    # identity and cyclic short-cuts are exact (permutation rows sum a
-    # single product), not approximations of the matmul; states are rows,
-    # so a leading batch axis passes through
-    if layer.kind is ResidualKind.IDENTITY:
-        return h
-    if layer.kind is ResidualKind.CYCLIC:
-        # the shift np.roll(h, 1, axis=-1) makes, in a third of its time
-        return np.concatenate((h[..., -1:], h[..., :-1]), axis=-1)
-    return h @ layer.o.T
+def _kernel(layer: Layer):
+    """The layer's state update, bound once per layer so that the step loop
+    looks up no attributes: update(h, pre, out, z) writes
+
+        out = alpha * (O h) + beta * tanh(h @ W_h.T + pre)
+
+    with pre = x @ W_x.T + b the input drive. h, pre, out and the work
+    buffer z are (N,) or (B, N) with states as rows; out and z are
+    C-contiguous and alias neither h nor each other. The identity and
+    cyclic residuals are applied as a copy and a shift, exactly what their
+    permutation matrices give.
+    """
+    w_h_t, o_t, alpha, beta = layer.w_h.T, layer.o.T, layer.alpha, layer.beta
+    identity = layer.kind is ResidualKind.IDENTITY
+    cyclic = layer.kind is ResidualKind.CYCLIC
+
+    def update(h, pre, out, z):
+        np.dot(h, w_h_t, out=z)
+        z += pre
+        np.tanh(z, out=z)
+        z *= beta
+        if identity:
+            np.multiply(h, alpha, out=out)
+        elif cyclic:
+            out[..., 0] = h[..., -1]
+            out[..., 1:] = h[..., :-1]
+            out *= alpha
+        else:
+            np.dot(h, o_t, out=out)
+            out *= alpha
+        out += z
+
+    return update
 
 
 def step_layer(layer: Layer, h_prev: np.ndarray, x_t: np.ndarray) -> np.ndarray:
@@ -246,15 +259,10 @@ def step_layer(layer: Layer, h_prev: np.ndarray, x_t: np.ndarray) -> np.ndarray:
     if x_t.shape != h_prev.shape[:-1] + (layer.input_dim,):
         raise ValueError(f"input has shape {x_t.shape}, layer expects "
                          f"{h_prev.shape[:-1] + (layer.input_dim,)}")
-    # h = alpha * O h_prev + beta * phi(W_h h_prev + W_x x_t + b), evaluated
-    # in place on the fresh arrays to spare temporaries on large batches
-    z = h_prev @ layer.w_h.T
-    z += x_t @ layer.w_x.T
-    z += layer.b
-    z = _activation(z)
-    z *= layer.beta
-    h = layer.alpha * _apply_residual(layer, h_prev)
-    h += z
+    pre = x_t @ layer.w_x.T
+    pre += layer.b
+    h = np.empty(h_prev.shape)
+    _kernel(layer)(h_prev, pre, h, np.empty(h_prev.shape))
     if not np.all(np.isfinite(h)):
         raise StateOverflowError("layer state became non-finite")
     return h
@@ -291,9 +299,10 @@ def final_states(deep: DeepReservoir, batch: np.ndarray) -> list[np.ndarray]:
     """Last state of every layer for B equal-length sequences run together.
 
     batch is (B, T, N_x); every sequence starts from the zero state. All B
-    sequences advance one time step at a time through step, so each layer
-    does one (B, N) matrix product per step and holds only its current
-    state: nothing of size T is kept. Returns one (B, N_l) array per layer.
+    sequences advance one time step at a time, so each layer does one
+    (B, N) matrix product per step and holds only its current state and
+    the next: nothing of size T is kept. Returns one (B, N_l) array per
+    layer.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 3 or batch.shape[0] == 0 or batch.shape[1] == 0:
@@ -303,20 +312,34 @@ def final_states(deep: DeepReservoir, batch: np.ndarray) -> list[np.ndarray]:
             f"input dim {batch.shape[2]} does not match reservoir input {deep.input_dim}"
         )
     _require_finite_inputs(batch)
-    h = [np.zeros((batch.shape[0], layer.size)) for layer in deep.layers]
+    shapes = [(batch.shape[0], layer.size) for layer in deep.layers]
+    h = [np.zeros(shape) for shape in shapes]
+    nxt = [np.empty(shape) for shape in shapes]
+    pre = [np.empty(shape) for shape in shapes]
+    z = [np.empty(shape) for shape in shapes]
+    kernels = [_kernel(layer) for layer in deep.layers]
     for t in range(batch.shape[1]):
-        h = step(deep, h, batch[:, t])
+        drive = batch[:, t]
+        for l, layer in enumerate(deep.layers):
+            np.dot(drive, layer.w_x.T, out=pre[l])
+            pre[l] += layer.b
+            kernels[l](h[l], pre[l], nxt[l], z[l])
+            if not np.all(np.isfinite(nxt[l])):
+                raise StateOverflowError(f"non-finite state at step {t} in layer {l + 1}")
+            h[l], nxt[l] = nxt[l], h[l]
+            drive = h[l]
     return h
 
 
 def forward(deep: DeepReservoir, inputs: np.ndarray, washout: int = 0,
-            h0: list[np.ndarray] | None = None, check_every: int = 100) -> StateTrajectory:
+            h0: list[np.ndarray] | None = None) -> StateTrajectory:
     """Run the stack over an input sequence.
 
     inputs is (T, N_x) or (T,) for scalar series. The trajectory keeps every
     step; washout only marks the boundary later used by feature extraction.
-    A non-finite input is rejected on entry, naming its step. States are
-    checked for finiteness every check_every steps (1 = every step).
+    A non-finite input is rejected on entry, naming its step; a non-finite
+    state is reported after its layer's run, naming its first step and the
+    layer.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
@@ -330,46 +353,27 @@ def forward(deep: DeepReservoir, inputs: np.ndarray, washout: int = 0,
         )
     if not 0 <= washout < t_total:
         raise ValueError(f"washout {washout} must be < sequence length {t_total}")
-    if check_every < 1:
-        raise ValueError("check_every must be >= 1")
     _require_finite_inputs(inputs)
     if h0 is None:
         h0 = deep.zero_state()
 
-    phi = _activation
     drive = inputs
     all_states: list[np.ndarray] = []
-    for layer, h_init in zip(deep.layers, h0):
+    for l, (layer, h_init) in enumerate(zip(deep.layers, h0)):
         h = np.array(h_init, dtype=float)
         if h.shape != (layer.size,):
             raise ValueError("initial state does not match layer size")
-        n = layer.size
         pre = drive @ layer.w_x.T + layer.b  # input drive for every step at once
-        states = np.empty((t_total, n))
-        alpha, beta, w_h, kind, o = layer.alpha, layer.beta, layer.w_h, layer.kind, layer.o
-        z = np.empty(n)
+        states = np.empty((t_total, layer.size))
+        z = np.empty(layer.size)
+        update = _kernel(layer)
         for t in range(t_total):
-            np.dot(w_h, h, out=z)
-            z += pre[t]
-            z = phi(z, out=z) if phi is np.tanh else phi(z)
-            new = states[t]
-            # h(t) = alpha * (O h) + beta * phi(z), written into the
-            # trajectory row to avoid per-step allocations
-            if kind is ResidualKind.IDENTITY:
-                np.multiply(h, alpha, out=new)
-            elif kind is ResidualKind.CYCLIC:
-                new[0] = alpha * h[n - 1]
-                np.multiply(h[: n - 1], alpha, out=new[1:])
-            else:
-                np.dot(o, h, out=new)
-                new *= alpha
-            z *= beta
-            new += z
-            h = new
-            if t % check_every == 0 and not np.all(np.isfinite(h)):
-                raise StateOverflowError(f"non-finite state at step {t}")
-        if not np.all(np.isfinite(h)):
-            raise StateOverflowError("non-finite state at the end of the run")
+            update(h, pre[t], states[t], z)
+            h = states[t]
+        bad = ~np.isfinite(states).all(axis=1)
+        if bad.any():
+            raise StateOverflowError(
+                f"non-finite state at step {np.argmax(bad)} in layer {l + 1}")
         all_states.append(states)
         drive = states
     return StateTrajectory(states=all_states, washout=washout)

@@ -46,8 +46,9 @@ class StabilityReport:
         }
 
 
-def _tanh_derivative(z: np.ndarray) -> np.ndarray:
-    t = np.tanh(z)
+def _tanh_slope(layer: Layer, h_prev: np.ndarray, layer_input: np.ndarray) -> np.ndarray:
+    """tanh' at the layer's pre-activation W_h h_prev + W_x layer_input + b."""
+    t = np.tanh(layer.w_h @ h_prev + layer.w_x @ layer_input + layer.b)
     return 1.0 - t * t
 
 
@@ -61,23 +62,15 @@ def layer_block_jacobian(layer: Layer, h_prev: np.ndarray, layer_input: np.ndarr
     layer_input = np.asarray(layer_input, dtype=float)
     if h_prev.shape != (layer.size,) or layer_input.shape != (layer.input_dim,):
         raise ValueError("state or input dimension does not match the layer")
-    z = layer.w_h @ h_prev + layer.w_x @ layer_input + layer.b
-    d = _tanh_derivative(z)
+    d = _tanh_slope(layer, h_prev, layer_input)
     return layer.alpha * layer.o + layer.beta * (d[:, None] * layer.w_h)
 
 
-def _layer_chain(deep: DeepReservoir, global_state: list[np.ndarray], x: np.ndarray):
-    """Advance one global step, returning each layer's input and tanh' vector."""
-    inputs: list[np.ndarray] = []
-    derivs: list[np.ndarray] = []
-    drive = np.asarray(x, dtype=float)
-    for layer, h in zip(deep.layers, global_state):
-        h = np.asarray(h, dtype=float)
-        z = layer.w_h @ h + layer.w_x @ drive + layer.b
-        inputs.append(drive)
-        derivs.append(_tanh_derivative(z))
-        drive = layer.alpha * _res._apply_residual(layer, h) + layer.beta * np.tanh(z)
-    return inputs, derivs
+def _layer_inputs(deep: DeepReservoir, global_state: list[np.ndarray],
+                  x: np.ndarray) -> list[np.ndarray]:
+    """Each layer's input during one global step from global_state: x for
+    the first layer, the previous layer's fresh state for the others."""
+    return [np.asarray(x, dtype=float)] + _res.step(deep, global_state, x)[:-1]
 
 
 def global_jacobian(deep: DeepReservoir, global_state: list[np.ndarray],
@@ -88,9 +81,7 @@ def global_jacobian(deep: DeepReservoir, global_state: list[np.ndarray],
     chains the input coupling beta_i * diag(tanh') @ W_x through every layer
     between j and i. Blocks above the diagonal are zero.
     """
-    if len(global_state) != deep.n_layers:
-        raise ValueError("global state must have one vector per layer")
-    inputs, derivs = _layer_chain(deep, global_state, x)
+    inputs = _layer_inputs(deep, global_state, x)
 
     sizes = [layer.size for layer in deep.layers]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -99,8 +90,9 @@ def global_jacobian(deep: DeepReservoir, global_state: list[np.ndarray],
 
     diag_blocks: list[np.ndarray] = []
     input_couplings: list[np.ndarray] = []  # beta_l diag(tanh') W_x per layer
-    for layer, d in zip(deep.layers, derivs):
-        diag_blocks.append(layer.alpha * layer.o + layer.beta * (d[:, None] * layer.w_h))
+    for layer, h, inp in zip(deep.layers, global_state, inputs):
+        diag_blocks.append(layer_block_jacobian(layer, h, inp))
+        d = _tanh_slope(layer, h, inp)
         input_couplings.append(layer.beta * (d[:, None] * layer.w_x))
 
     for j in range(deep.n_layers):
@@ -176,11 +168,9 @@ def esp_convergence_test(deep: DeepReservoir, input_seq: np.ndarray,
 def eigenspectrum_report(deep: DeepReservoir, h: list[np.ndarray],
                          x: np.ndarray) -> list[np.ndarray]:
     """Eigenvalues of each layer's diagonal Jacobian block at (h, x)."""
-    inputs, derivs = _layer_chain(deep, h, x)
-    out = []
-    for layer, d in zip(deep.layers, derivs):
-        out.append(eigenvalues(layer.alpha * layer.o + layer.beta * (d[:, None] * layer.w_h)))
-    return out
+    inputs = _layer_inputs(deep, h, x)
+    return [eigenvalues(layer_block_jacobian(layer, h_l, inp))
+            for layer, h_l, inp in zip(deep.layers, h, inputs)]
 
 
 def random_probe(deep: DeepReservoir, rng: RngStream) -> tuple[list[np.ndarray], np.ndarray]:

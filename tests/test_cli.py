@@ -44,6 +44,21 @@ def test_run_single_config(tmp_path, capsys):
     assert (tmp_path / "out" / "results.csv").exists()
 
 
+def test_run_loads_best_config_of_an_older_manifest(tmp_path, capsys):
+    # best_config as searches wrote it while configs still carried readout_mode
+    cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_C, task="sinmem10",
+                           task_class="memory", total_units=15, alpha=0.9, beta=0.5,
+                           washout=50)
+    old = dict(cfg.to_dict(), readout_mode="per-step")
+    cfg_path = tmp_path / "best.json"
+    cfg_path.write_text(json.dumps(old))
+    assert ExperimentConfig.from_dict(old) == cfg
+    rc = main(["run", "--config", str(cfg_path), "--seeds", "1", "--length", "600",
+               "--seed", "2", "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    assert "(0/1 failed)" in capsys.readouterr().out
+
+
 def test_stability_command(tmp_path, capsys):
     rc = main(["stability", "--kind", "cyclic", "--layers", "2", "--units", "10",
                "--alpha", "0.4", "--beta", "0.5", "--rho", "0.9",

@@ -191,7 +191,7 @@ def test_run_trial_classification_path():
     ds = split(merge_train_test(block(30, 12), block(31, 5)), 0.7, seed=1)
     cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
                            task_class="classification", total_units=20, alpha=0.5,
-                           beta=0.5, washout=0, readout_mode="last-step", lam=0.1)
+                           beta=0.5, washout=0, lam=0.1)
     result = run_trial(cfg, ds, seed=5)
     assert not result.failed
     assert result.test_metric == 1.0  # trivially separable
@@ -225,6 +225,28 @@ def test_last_state_features_match_per_sequence_forward(kind, concat):
         want = np.concatenate([s[-1] for s in (states if concat else states[-1:])])
         assert row.shape == want.shape
         assert np.max(np.abs(row - want)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_run_trial_accepts_one_dimensional_inputs(kind):
+    # a (T,) series is one input channel, as forward reads it
+    if kind == "regression":
+        ds, _ = _tiny_task()
+        flat = Dataset(inputs=ds.inputs.ravel(), targets=ds.targets, kind=kind,
+                       split=ds.split)
+        cfg = _leaky_config()
+    else:
+        ds = split(merge_train_test(_toy_classification(35, 15, (20,)),
+                                    _toy_classification(36, 5, (20,))), 0.7, seed=1)
+        flat = Dataset(inputs=[seq.ravel() for seq in ds.inputs], targets=ds.targets,
+                       kind=kind, split=ds.split)
+        cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
+                               task_class="classification", total_units=10, alpha=0.5,
+                               beta=0.5, washout=0, lam=0.1)
+    want = run_trial(cfg, ds, seed=3)
+    got = run_trial(cfg, flat, seed=3)
+    assert not got.failed, got.error
+    assert (got.val_metric, got.test_metric) == (want.val_metric, want.test_metric)
 
 
 def test_classification_search_parallelism_invariant():
@@ -293,7 +315,7 @@ def _fake_trials():
 
 
 def test_aggregate_means_and_failures():
-    table = aggregate(_fake_trials(), higher_is_better=False)
+    table = aggregate(_fake_trials())
     row0 = table.rows[0]
     assert row0["val_mean"] == pytest.approx(0.6)
     assert row0["val_std"] == pytest.approx(np.std([0.5, 0.7]))
@@ -305,7 +327,7 @@ def test_aggregate_means_and_failures():
 
 
 def test_aggregate_matches_direct_recomputation():
-    table = aggregate(_fake_trials(), higher_is_better=False)
+    table = aggregate(_fake_trials())
     for row in table.rows:
         ok = [t for t in table.trials
               if t.config_id == row["config_id"] and not t.failed]
@@ -399,7 +421,7 @@ def test_emit_empty_results_header_only(tmp_path):
 
 
 def test_emitted_csv_roundtrips(tmp_path):
-    table = aggregate(_fake_trials(), higher_is_better=False)
+    table = aggregate(_fake_trials())
     emit_reports(tmp_path, table=table)
     back = read_results_csv(tmp_path / "results.csv")
     for got, want in zip(back, table.rows):

@@ -343,7 +343,14 @@ def test_forward_flags_non_finite_states():
     deep = build_deep_reservoir([_config()], 1, RngStream(55))
     h0 = [np.full(10, np.inf)]
     with np.errstate(invalid="ignore"), pytest.raises(StateOverflowError):
-        forward(deep, np.zeros((5, 1)), h0=h0, check_every=1)
+        forward(deep, np.zeros((5, 1)), h0=h0)
+
+
+def test_forward_names_layer_and_step_of_non_finite_state():
+    deep = build_deep_reservoir([_config(), _config()], 1, RngStream(58))
+    h0 = [np.zeros(10), np.full(10, np.nan)]
+    with pytest.raises(StateOverflowError, match=r"at step 0 in layer 2$"):
+        forward(deep, np.zeros((5, 1)), h0=h0)
 
 
 def test_step_chains_layers_like_forward():
@@ -452,16 +459,18 @@ def test_deep_reservoir_checks_layer_chaining():
         DeepReservoir(layers=[a, b])
 
 
-def test_shared_residual_reuses_one_matrix():
-    configs = [_config() for _ in range(3)]
-    deep = build_deep_reservoir(configs, 1, RngStream(72), shared_residual=True)
-    assert deep.layers[0].o is deep.layers[1].o
-    assert deep.layers[0].o is deep.layers[2].o
-    per_layer = build_deep_reservoir(configs, 1, RngStream(72))
-    assert not np.array_equal(per_layer.layers[0].o, per_layer.layers[1].o)
-
-
-def test_shared_residual_requires_equal_sizes():
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_layer_rejects_residual_that_contradicts_kind(kind):
+    # forward applies identity and cyclic without o, stability reads o:
+    # a layer whose o disagrees with its kind would give two answers
+    layer = build_layer(_config(n=6, kind=kind), 1, RngStream(74))
+    fields = dict(w_x=layer.w_x, w_h=layer.w_h, b=layer.b, alpha=layer.alpha,
+                  beta=layer.beta, kind=kind)
+    Layer(o=layer.o.copy(), **fields)
     with pytest.raises(ValueError):
-        build_deep_reservoir([_config(n=8), _config(n=6)], 1, RngStream(73),
-                             shared_residual=True)
+        Layer(o=np.eye(7), **fields)
+    if kind is not ResidualKind.RANDOM_ORTHOGONAL:
+        other = (ResidualKind.IDENTITY if kind is ResidualKind.CYCLIC
+                 else ResidualKind.CYCLIC)
+        with pytest.raises(ValueError):
+            Layer(o=build_residual(other, 6), **fields)

@@ -109,8 +109,11 @@ def test_block_saturates_to_alpha_o():
     assert np.linalg.norm(block - layer.alpha * layer.o) < 1e-6
 
 
-def test_block_matches_finite_differences():
-    layer = build_layer(_config(), 3, RngStream(3))
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_block_matches_finite_differences(kind):
+    # step_layer applies identity and cyclic residuals without o, the
+    # Jacobian through the dense o: the two must describe the same map
+    layer = build_layer(_config(kind=kind), 3, RngStream(3))
     h = RngStream(4).uniform(-1, 1, 10)
     x = RngStream(5).uniform(-1, 1, 3)
     analytic = layer_block_jacobian(layer, h, x)
@@ -139,8 +142,9 @@ def test_global_jacobian_single_layer_equals_block():
     assert np.max(np.abs(jac - block)) < 1e-14
 
 
-def test_global_jacobian_matches_finite_differences():
-    deep = build_deep_reservoir([_config() for _ in range(3)], 1, RngStream(11))
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_global_jacobian_matches_finite_differences(kind):
+    deep = build_deep_reservoir([_config(kind=kind) for _ in range(3)], 1, RngStream(11))
     h, x = random_probe(deep, RngStream(12))
     analytic = global_jacobian(deep, h, x)
     fd = fd_global_jacobian(deep, h, x)
