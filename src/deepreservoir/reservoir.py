@@ -299,10 +299,9 @@ def final_states(deep: DeepReservoir, batch: np.ndarray) -> list[np.ndarray]:
     """Last state of every layer for B equal-length sequences run together.
 
     batch is (B, T, N_x); every sequence starts from the zero state. All B
-    sequences advance one time step at a time, so each layer does one
-    (B, N) matrix product per step and holds only its current state and
-    the next: nothing of size T is kept. Returns one (B, N_l) array per
-    layer.
+    sequences advance one time step at a time through step, so each layer
+    does one (B, N) matrix product per step and holds only its current
+    state: nothing of size T is kept. Returns one (B, N_l) array per layer.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 3 or batch.shape[0] == 0 or batch.shape[1] == 0:
@@ -312,22 +311,9 @@ def final_states(deep: DeepReservoir, batch: np.ndarray) -> list[np.ndarray]:
             f"input dim {batch.shape[2]} does not match reservoir input {deep.input_dim}"
         )
     _require_finite_inputs(batch)
-    shapes = [(batch.shape[0], layer.size) for layer in deep.layers]
-    h = [np.zeros(shape) for shape in shapes]
-    nxt = [np.empty(shape) for shape in shapes]
-    pre = [np.empty(shape) for shape in shapes]
-    z = [np.empty(shape) for shape in shapes]
-    kernels = [_kernel(layer) for layer in deep.layers]
+    h = [np.zeros((batch.shape[0], layer.size)) for layer in deep.layers]
     for t in range(batch.shape[1]):
-        drive = batch[:, t]
-        for l, layer in enumerate(deep.layers):
-            np.dot(drive, layer.w_x.T, out=pre[l])
-            pre[l] += layer.b
-            kernels[l](h[l], pre[l], nxt[l], z[l])
-            if not np.all(np.isfinite(nxt[l])):
-                raise StateOverflowError(f"non-finite state at step {t} in layer {l + 1}")
-            h[l], nxt[l] = nxt[l], h[l]
-            drive = h[l]
+        h = step(deep, h, batch[:, t])
     return h
 
 

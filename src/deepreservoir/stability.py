@@ -62,7 +62,12 @@ def layer_block_jacobian(layer: Layer, h_prev: np.ndarray, layer_input: np.ndarr
     layer_input = np.asarray(layer_input, dtype=float)
     if h_prev.shape != (layer.size,) or layer_input.shape != (layer.input_dim,):
         raise ValueError("state or input dimension does not match the layer")
-    d = _tanh_slope(layer, h_prev, layer_input)
+    return _block(layer, _tanh_slope(layer, h_prev, layer_input))
+
+
+def _block(layer: Layer, d: np.ndarray) -> np.ndarray:
+    """alpha * O + beta * diag(d) @ W_h, d the tanh slope at the layer's
+    pre-activation."""
     return layer.alpha * layer.o + layer.beta * (d[:, None] * layer.w_h)
 
 
@@ -91,8 +96,8 @@ def global_jacobian(deep: DeepReservoir, global_state: list[np.ndarray],
     diag_blocks: list[np.ndarray] = []
     input_couplings: list[np.ndarray] = []  # beta_l diag(tanh') W_x per layer
     for layer, h, inp in zip(deep.layers, global_state, inputs):
-        diag_blocks.append(layer_block_jacobian(layer, h, inp))
         d = _tanh_slope(layer, h, inp)
+        diag_blocks.append(_block(layer, d))
         input_couplings.append(layer.beta * (d[:, None] * layer.w_x))
 
     for j in range(deep.n_layers):
