@@ -132,8 +132,8 @@ def _cmd_search(args) -> None:
 def _cmd_run(args) -> None:
     config = ExperimentConfig.from_dict(json.loads(args.config.read_text()))
     dataset, _ = harness.make_task(config.task, args.seed, length=args.length)
-    trials = [harness.run_trial(config, dataset, harness.trial_seed(args.seed, config.config_id, j))
-              for j in range(args.seeds)]
+    trials = harness.run_config(config, dataset, [harness.trial_seed(args.seed, config.config_id, j)
+                                                  for j in range(args.seeds)])
     table = harness.aggregate(trials)
     harness.emit_reports(args.out, table=table, manifest={"config": config.to_dict(),
                                                           "master_seed": args.seed,

@@ -30,10 +30,12 @@ from .reservoir import (
     StateOverflowError,
     allocate_units,
     build_deep_reservoir,
-    final_states,
-    forward,
-    readout_features,
+    run_states,
 )
+# Trials call neither forward nor readout_features, but both stay importable
+# from here: the traced benchmark (bench/workloads.py) wraps the stage
+# functions harness imports, by these names.
+from .reservoir import forward, readout_features  # noqa: F401
 from .tasks import Dataset
 
 
@@ -269,12 +271,10 @@ def _input_dim(dataset: Dataset) -> int:
     return _as_steps(first).shape[1]
 
 
-def _regression_metrics(config: ExperimentConfig, deep: DeepReservoir,
+def _regression_metrics(config: ExperimentConfig, feats: np.ndarray,
                         dataset: Dataset) -> tuple[float, float]:
     # benchmark tables normalize by the target's root mean square (the
     # convention the published per-task numbers follow), not its std
-    traj = forward(deep, dataset.inputs, washout=config.washout)
-    feats = readout_features(traj, config.concat)
     targets = np.asarray(dataset.targets, dtype=float)
     sp = dataset.split
 
@@ -290,24 +290,37 @@ def _regression_metrics(config: ExperimentConfig, deep: DeepReservoir,
             nrmse(predict(model, test_x), test_y, normalizer="rms"))
 
 
-def _last_state_features(deep: DeepReservoir, sequences: list[np.ndarray],
-                         concat: bool) -> np.ndarray:
-    """One row per sequence: its last state, of every layer with concat and
-    of the last layer otherwise. Sequences of one length run as one batch."""
+# Sequences of one length run together in batches of at most this many,
+# which bounds the stacked copy of their inputs and the (S, B, N) states of
+# S seeds whatever the dataset's size.
+_MAX_BATCH = 512
+
+
+def _last_state_features(deeps: list[DeepReservoir], sequences: list[np.ndarray],
+                         concat: bool) -> tuple[list[np.ndarray], list[str | None]]:
+    """For each reservoir, one row per sequence: its last state, of every
+    layer with concat and of the last layer otherwise; and the reservoir's
+    first non-finite state, if any. Sequences of one length are stacked once
+    per batch and run through every reservoir together."""
     by_length: dict[int, list[int]] = {}
     for i, seq in enumerate(sequences):
         by_length.setdefault(len(seq), []).append(i)
-    kept = deep.layers if concat else deep.layers[-1:]
-    feats = np.empty((len(sequences), sum(layer.size for layer in kept)))
-    for idx in by_length.values():
-        states = final_states(deep, np.stack([_as_steps(sequences[i]) for i in idx]))
-        feats[idx] = np.hstack(states[-len(kept):])
-    return feats
+    batches = [same[i:i + _MAX_BATCH] for same in by_length.values()
+               for i in range(0, len(same), _MAX_BATCH)]
+    kept = deeps[0].layers if concat else deeps[0].layers[-1:]
+    feats = [np.empty((len(sequences), sum(layer.size for layer in kept))) for _ in deeps]
+    errors: list[str | None] = [None] * len(deeps)
+    for idx in batches:
+        group = np.stack([_as_steps(sequences[i]) for i in idx], axis=1)  # (T, B, N_x)
+        states, group_errors = run_states(deeps, group, len(group) - 1, concat)
+        for s, (last, error) in enumerate(zip(states, group_errors)):
+            feats[s][idx] = last[0]
+            errors[s] = errors[s] or error
+    return feats, errors
 
 
-def _classification_metrics(config: ExperimentConfig, deep: DeepReservoir,
+def _classification_metrics(config: ExperimentConfig, feats: np.ndarray,
                             dataset: Dataset) -> tuple[float, float]:
-    feats = _last_state_features(deep, dataset.inputs, config.concat)
     labels = np.asarray(dataset.targets, dtype=int)
     sp = dataset.split
     targets = one_hot(labels, dataset.n_classes)
@@ -324,32 +337,59 @@ def _require_scorable_split(dataset: Dataset) -> None:
         raise ValueError("dataset has an empty test split: no samples to score a trial on")
 
 
-def run_trial(config: ExperimentConfig, dataset: Dataset, seed: int) -> TrialResult:
-    """Build, run, fit, and score one (config, seed) pair.
+def _score(config: ExperimentConfig, feats: np.ndarray, dataset: Dataset) -> tuple[float, float]:
+    """Fit one reservoir's readout and score it on validation and test."""
+    if dataset.kind == "regression":
+        val, test = _regression_metrics(config, feats, dataset)
+    else:
+        val, test = _classification_metrics(config, feats, dataset)
+    # an empty validation split (classification before re-splitting) may
+    # legitimately score nan; anything else non-finite is a failure
+    val_ok = np.isfinite(val) or (dataset.kind == "classification"
+                                  and len(dataset.split.val) == 0)
+    if not val_ok or not np.isfinite(test):
+        raise StateOverflowError("non-finite metric")
+    return float(val), float(test)
 
-    Unstable dynamics are reported as a failed trial rather than raised.
+
+def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> list[TrialResult]:
+    """Build, run, fit, and score one configuration for each of its seeds.
+
+    The seeds' reservoirs share every size and mixing coefficient, so they
+    advance together through one state loop (reservoir.run_states), and each
+    seed's result is bit-identical to running that seed alone. Unstable
+    dynamics fail only their own seed, reported as a failed trial rather
+    than raised. Each trial's wall_time is an equal share of the run.
     """
     _require_scorable_split(dataset)
+    if not seeds:
+        return []
     started = time.perf_counter()
-    try:
-        rng = RngStream(seed)
-        deep = build_deep_reservoir(config.layer_configs(), _input_dim(dataset), rng,
-                                    concat=config.concat)
-        if dataset.kind == "regression":
-            val, test = _regression_metrics(config, deep, dataset)
-        else:
-            val, test = _classification_metrics(config, deep, dataset)
-        # an empty validation split (classification before re-splitting) may
-        # legitimately score nan; anything else non-finite is a failure
-        val_ok = np.isfinite(val) or (dataset.kind == "classification"
-                                      and len(dataset.split.val) == 0)
-        if not val_ok or not np.isfinite(test):
-            raise StateOverflowError("non-finite metric")
-        return TrialResult(config.config_id, seed, float(val), float(test),
-                           time.perf_counter() - started)
-    except (StateOverflowError, np.linalg.LinAlgError) as exc:
-        return TrialResult(config.config_id, seed, float("nan"), float("nan"),
-                           time.perf_counter() - started, failed=True, error=str(exc))
+    deeps = [build_deep_reservoir(config.layer_configs(), _input_dim(dataset), RngStream(seed),
+                                  concat=config.concat) for seed in seeds]
+    if dataset.kind == "regression":
+        feats, errors = run_states(deeps, _as_steps(dataset.inputs), config.washout,
+                                   config.concat)
+    else:
+        feats, errors = _last_state_features(deeps, dataset.inputs, config.concat)
+    outcomes = []
+    for seed, seed_feats, error in zip(seeds, feats, errors):
+        val = test = float("nan")
+        if error is None:
+            try:
+                val, test = _score(config, seed_feats, dataset)
+            except (StateOverflowError, np.linalg.LinAlgError) as exc:
+                error = str(exc)
+        outcomes.append((seed, val, test, error))
+    wall = (time.perf_counter() - started) / len(seeds)
+    return [TrialResult(config.config_id, seed, val, test, wall, failed=error is not None,
+                        error=error) for seed, val, test, error in outcomes]
+
+
+def run_trial(config: ExperimentConfig, dataset: Dataset, seed: int) -> TrialResult:
+    """Build, run, fit, and score one (config, seed) pair: run_config with
+    one seed."""
+    return run_config(config, dataset, [seed])[0]
 
 
 def trial_seed(master_seed: int, config_index: int, seed_index: int) -> int:
@@ -358,8 +398,18 @@ def trial_seed(master_seed: int, config_index: int, seed_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _run_trial_star(args) -> TrialResult:
-    return run_trial(*args)
+# The search's dataset inside a pool worker, set once by the pool's
+# initializer so that a task carries only (config, seeds).
+_worker_dataset: Dataset | None = None
+
+
+def _init_worker(dataset: Dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _run_config_in_worker(task: tuple[ExperimentConfig, list[int]]) -> list[TrialResult]:
+    return run_config(task[0], _worker_dataset, task[1])
 
 
 def aggregate(trials: list[TrialResult]) -> ResultsTable:
@@ -402,13 +452,15 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
                       total_units=total_units, washout=washout, config_id=i)
         for i in range(budget)
     ]
-    pairs = [(configs[i], dataset, trial_seed(master_seed, i, j))
-             for i in range(budget) for j in range(n_seeds)]
+    work = [(configs[i], [trial_seed(master_seed, i, j) for j in range(n_seeds)])
+            for i in range(budget)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trials = list(pool.map(_run_trial_star, pairs, chunksize=4))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(dataset,)) as pool:
+            per_config = list(pool.map(_run_config_in_worker, work))
     else:
-        trials = [run_trial(*p) for p in pairs]
+        per_config = [run_config(config, dataset, seeds) for config, seeds in work]
+    trials = [trial for results in per_config for trial in results]
 
     higher = task_class == "classification"
     table = aggregate(trials)

@@ -23,6 +23,10 @@ from .numerics import RngStream, spectral_radius, uniform_matrix
 # Fresh draws attempted when W_h comes out with zero spectral radius.
 _NILPOTENT_RETRIES = 3
 
+# Time steps run_states advances per input-drive product: _CHUNK for one
+# sequence, max(1, _CHUNK // B) for a batch of B sequences.
+_CHUNK = 256
+
 
 class StateOverflowError(ArithmeticError):
     """Raised when reservoir states stop being finite."""
@@ -211,37 +215,41 @@ def build_deep_reservoir(configs: list[LayerConfig], input_dim: int, rng: RngStr
     return DeepReservoir(layers=layers, concat=concat)
 
 
-def _kernel(layer: Layer):
-    """The layer's state update, bound once per layer so that the step loop
-    looks up no attributes: update(h, pre, out, z) writes
+def _kernel(layer: Layer, w_h_t: np.ndarray, o_t: np.ndarray | None):
+    """The layer's state update, bound once so that the step loop looks up
+    no attributes: update(h, row, z) overwrites row, which holds the input
+    drive x @ W_x.T + b on entry, with
 
-        out = alpha * (O h) + beta * tanh(h @ W_h.T + pre)
+        alpha * (O h) + beta * tanh(h @ W_h.T + row)
 
-    with pre = x @ W_x.T + b the input drive. h, pre, out and the work
-    buffer z are (N,) or (B, N) with states as rows; out and z are
-    C-contiguous and alias neither h nor each other. The identity and
-    cyclic residuals are applied as a copy and a shift, exactly what their
-    permutation matrices give.
+    h, row and the work buffer z hold states along their last axis: (N,)
+    or (B, N) with w_h_t = W_h.T and o_t = O.T, or (S, B, N) with the W_h.T
+    and O.T of S same-shaped layers stacked as (S, N, N), each slice of
+    states advanced with its own layer's weights. z is C-contiguous and
+    aliases neither h nor row. The identity and cyclic residuals are applied
+    as a copy and a shift, exactly what their permutation matrices give, so
+    only the random kind reads o_t.
     """
-    w_h_t, o_t, alpha, beta = layer.w_h.T, layer.o.T, layer.alpha, layer.beta
+    product = np.dot if w_h_t.ndim == 2 else np.matmul
+    alpha, beta = layer.alpha, layer.beta
     identity = layer.kind is ResidualKind.IDENTITY
     cyclic = layer.kind is ResidualKind.CYCLIC
 
-    def update(h, pre, out, z):
-        np.dot(h, w_h_t, out=z)
-        z += pre
+    def update(h, row, z):
+        product(h, w_h_t, out=z)
+        z += row
         np.tanh(z, out=z)
         z *= beta
         if identity:
-            np.multiply(h, alpha, out=out)
+            np.multiply(h, alpha, out=row)
         elif cyclic:
-            out[..., 0] = h[..., -1]
-            out[..., 1:] = h[..., :-1]
-            out *= alpha
+            row[..., 0] = h[..., -1]
+            row[..., 1:] = h[..., :-1]
+            row *= alpha
         else:
-            np.dot(h, o_t, out=out)
-            out *= alpha
-        out += z
+            product(h, o_t, out=row)
+            row *= alpha
+        row += z
 
     return update
 
@@ -259,10 +267,9 @@ def step_layer(layer: Layer, h_prev: np.ndarray, x_t: np.ndarray) -> np.ndarray:
     if x_t.shape != h_prev.shape[:-1] + (layer.input_dim,):
         raise ValueError(f"input has shape {x_t.shape}, layer expects "
                          f"{h_prev.shape[:-1] + (layer.input_dim,)}")
-    pre = x_t @ layer.w_x.T
-    pre += layer.b
-    h = np.empty(h_prev.shape)
-    _kernel(layer)(h_prev, pre, h, np.empty(h_prev.shape))
+    h = x_t @ layer.w_x.T
+    h += layer.b
+    _kernel(layer, layer.w_h.T, layer.o.T)(h_prev, h, np.empty(h.shape))
     if not np.all(np.isfinite(h)):
         raise StateOverflowError("layer state became non-finite")
     return h
@@ -285,84 +292,176 @@ def step(deep: DeepReservoir, h_prev: list[np.ndarray], x_t: np.ndarray) -> list
 
 def _require_finite_inputs(inputs: np.ndarray) -> None:
     """Reject a non-finite input, naming its first step (and, for a
-    (B, T, N_x) batch, its sequence)."""
+    (T, B, N_x) batch, the first sequence that has one)."""
     bad = ~np.isfinite(inputs).all(axis=-1)
     if not bad.any():
         return
-    where = np.argwhere(bad)[0]
-    if inputs.ndim == 2:
-        raise ValueError(f"non-finite input at step {where[0]}")
-    raise ValueError(f"non-finite input at step {where[1]} of sequence {where[0]}")
+    if bad.ndim == 1:
+        raise ValueError(f"non-finite input at step {np.argmax(bad)}")
+    sequence, t = np.argwhere(bad.T)[0]
+    raise ValueError(f"non-finite input at step {t} of sequence {sequence}")
+
+
+def _transposed(matrices: list[np.ndarray]) -> np.ndarray:
+    """W.T of one matrix, or of S matrices as views of one (S, N, N) stack.
+    Either way a transposed view, so h @ W.T rounds exactly as W @ h."""
+    if len(matrices) == 1:
+        return matrices[0].T
+    return np.stack(matrices).transpose(0, 2, 1)
+
+
+def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int = 0,
+               concat: bool = True, h0: list[np.ndarray] | None = None,
+               ) -> tuple[list[np.ndarray], list[str | None]]:
+    """Run S reservoirs of one shape over a shared input and keep the
+    states a readout needs: the one time loop.
+
+    The reservoirs must agree in every layer's size, residual kind, alpha
+    and beta, as the seeds of one configuration do. inputs is (T, N_x), or
+    (T, B, N_x) for B equal-length sequences. Every reservoir starts from
+    zero, or from h0 (one state per layer) when one runs without a batch.
+
+    Returns per reservoir its states from step washout on, (T - washout, F)
+    or (T - washout, B, F), the kept layers (all with concat, otherwise the
+    last) side by side; and per reservoir None or the message naming its
+    first non-finite state (earliest chunk, then lowest layer, then
+    earliest step). A reservoir's states and message are bit-identical to
+    those of a run on its own.
+
+    Time advances in chunks of _CHUNK steps (_CHUNK // B with a batch). Per
+    chunk and layer, one input-drive product per reservoir fills a buffer
+    with pre-activations; it always spans the whole chunk, so BLAS sees one
+    shape and rounds every row alike whatever T is. The kernel then
+    overwrites each row with its state, all reservoirs in one product per
+    step, and only kept rows are copied out. One reservoir runs on plain
+    1-D or 2-D arrays.
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    first = reservoirs[0]
+    t_total = inputs.shape[0]
+    if t_total == 0:
+        raise ValueError("input sequence is empty")
+    if inputs.shape[-1] != first.input_dim:
+        raise ValueError(
+            f"input dim {inputs.shape[-1]} does not match reservoir input {first.input_dim}"
+        )
+    if not 0 <= washout < t_total:
+        raise ValueError(f"washout {washout} must be < sequence length {t_total}")
+    _require_finite_inputs(inputs)
+    for deep in reservoirs[1:]:
+        if [(l.size, l.input_dim, l.kind, l.alpha, l.beta) for l in deep.layers] != \
+                [(l.size, l.input_dim, l.kind, l.alpha, l.beta) for l in first.layers]:
+            raise ValueError("reservoirs run together must share their layer shapes and mixing")
+
+    count = len(reservoirs)
+    stacked = count > 1
+    seq = inputs.shape[1:-1]  # () for one sequence, (B,) for a batch
+    # the axes of one step's states; a stack needs a row axis for its
+    # (S, 1, N) @ (S, N, N) products
+    lead = (count,) + (seq or (1,)) if stacked else seq
+    chunk = max(1, _CHUNK // int(np.prod(seq)))
+    kept = range(first.n_layers) if concat else [first.n_layers - 1]
+    out = np.empty((t_total - washout,) + lead + (sum(first.layers[l].size for l in kept),))
+
+    plan, col = [], 0
+    for l, same in enumerate(zip(*(deep.layers for deep in reservoirs))):
+        layer = same[0]
+        o_t = (_transposed([m.o for m in same])
+               if layer.kind is ResidualKind.RANDOM_ORTHOGONAL else None)
+        if h0 is None:
+            state = np.zeros(lead + (layer.size,))
+        else:
+            state = np.array(h0[l], dtype=float)
+            if state.shape != lead + (layer.size,):
+                raise ValueError("initial state does not match layer size")
+        buf = np.zeros((chunk,) + lead + (layer.size,))
+        per_reservoir = ([buf[:, s].reshape((chunk,) + seq + (layer.size,))
+                          for s in range(count)] if stacked else [buf])
+        cols = None
+        if l in kept:
+            cols, col = slice(col, col + layer.size), col + layer.size
+        plan.append((_kernel(layer, _transposed([m.w_h for m in same]), o_t),
+                     [m.w_x.T for m in same], [m.b for m in same], buf, list(buf),
+                     per_reservoir, state, np.empty(state.shape), cols))
+
+    errors: list[str | None] = [None] * count
+    x = np.zeros((chunk,) + inputs.shape[1:])
+    for t0 in range(0, t_total, chunk):
+        n = min(chunk, t_total - t0)
+        x[:n] = inputs[t0:t0 + n]
+        drives = [x] * count
+        for l, (update, w_x_t, b, buf, rows, per_reservoir, state, z, cols) in enumerate(plan):
+            for s, pre in enumerate(per_reservoir):
+                np.matmul(drives[s], w_x_t[s], out=pre)
+                pre += b[s]
+            drives = per_reservoir
+            h = state
+            for row in rows[:n]:
+                update(h, row, z)
+                h = row
+            np.copyto(state, h)
+            finite = np.isfinite(buf[:n]).reshape(n, count, -1).all(axis=2)
+            if not finite.all():
+                for s in range(count):
+                    if errors[s] is None and not finite[:, s].all():
+                        errors[s] = (f"non-finite state at step {t0 + np.argmin(finite[:, s])} "
+                                     f"in layer {l + 1}")
+            if cols is not None and t0 + n > washout:
+                a = max(washout - t0, 0)
+                out[t0 + a - washout:t0 + n - washout, ..., cols] = buf[a:n]
+        if all(errors):
+            break
+    if not stacked:
+        return [out], errors
+    shape = (t_total - washout,) + seq + out.shape[-1:]
+    return [out[:, s].reshape(shape) for s in range(count)], errors
+
+
+def _by_layer(deep: DeepReservoir, states: np.ndarray) -> list[np.ndarray]:
+    """Split side-by-side layer states (last axis) into one array per layer."""
+    return np.split(states, np.cumsum([layer.size for layer in deep.layers])[:-1], axis=-1)
 
 
 def final_states(deep: DeepReservoir, batch: np.ndarray) -> list[np.ndarray]:
     """Last state of every layer for B equal-length sequences run together.
 
     batch is (B, T, N_x); every sequence starts from the zero state. All B
-    sequences advance one time step at a time through step, so each layer
-    does one (B, N) matrix product per step and holds only its current
-    state: nothing of size T is kept. Returns one (B, N_l) array per layer.
+    sequences advance together through run_states, so each layer does one
+    (B, N) matrix product per step and nothing of size T is kept. Returns
+    one (B, N_l) array per layer.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 3 or batch.shape[0] == 0 or batch.shape[1] == 0:
         raise ValueError(f"batch has shape {batch.shape}, expected non-empty (B, T, N_x)")
-    if batch.shape[2] != deep.input_dim:
-        raise ValueError(
-            f"input dim {batch.shape[2]} does not match reservoir input {deep.input_dim}"
-        )
-    _require_finite_inputs(batch)
-    h = [np.zeros((batch.shape[0], layer.size)) for layer in deep.layers]
-    for t in range(batch.shape[1]):
-        h = step(deep, h, batch[:, t])
-    return h
+    states, errors = run_states([deep], batch.transpose(1, 0, 2), batch.shape[1] - 1)
+    if errors[0] is not None:
+        raise StateOverflowError(errors[0])
+    return _by_layer(deep, states[0][0])
 
 
 def forward(deep: DeepReservoir, inputs: np.ndarray, washout: int = 0,
             h0: list[np.ndarray] | None = None) -> StateTrajectory:
     """Run the stack over an input sequence.
 
-    inputs is (T, N_x) or (T,) for scalar series. The trajectory keeps every
-    step; washout only marks the boundary later used by feature extraction.
-    A non-finite input is rejected on entry, naming its step; a non-finite
-    state is reported after its layer's run, naming its first step and the
-    layer.
+    inputs is (T, N_x) or (T,) for scalar series; h0 holds one initial state
+    per layer (zeros by default). The trajectory keeps every step; washout
+    only marks the boundary later used by feature extraction. A non-finite
+    input is rejected on entry, naming its step; a non-finite state is
+    reported naming its first step and its layer.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
-    t_total = inputs.shape[0]
-    if t_total == 0:
-        raise ValueError("input sequence is empty")
-    if inputs.shape[1] != deep.input_dim:
-        raise ValueError(
-            f"input dim {inputs.shape[1]} does not match reservoir input {deep.input_dim}"
-        )
-    if not 0 <= washout < t_total:
-        raise ValueError(f"washout {washout} must be < sequence length {t_total}")
-    _require_finite_inputs(inputs)
-    if h0 is None:
-        h0 = deep.zero_state()
-
-    drive = inputs
-    all_states: list[np.ndarray] = []
-    for l, (layer, h_init) in enumerate(zip(deep.layers, h0)):
-        h = np.array(h_init, dtype=float)
-        if h.shape != (layer.size,):
-            raise ValueError("initial state does not match layer size")
-        pre = drive @ layer.w_x.T + layer.b  # input drive for every step at once
-        states = np.empty((t_total, layer.size))
-        z = np.empty(layer.size)
-        update = _kernel(layer)
-        for t in range(t_total):
-            update(h, pre[t], states[t], z)
-            h = states[t]
-        bad = ~np.isfinite(states).all(axis=1)
-        if bad.any():
-            raise StateOverflowError(
-                f"non-finite state at step {np.argmax(bad)} in layer {l + 1}")
-        all_states.append(states)
-        drive = states
-    return StateTrajectory(states=all_states, washout=washout)
+    if inputs.ndim != 2 or len(inputs) == 0:
+        raise ValueError(f"inputs have shape {inputs.shape}, expected non-empty (T, N_x) or (T,)")
+    if not 0 <= washout < len(inputs):
+        raise ValueError(f"washout {washout} must be < sequence length {len(inputs)}")
+    if h0 is not None and len(h0) != deep.n_layers:
+        raise ValueError(f"h0 has {len(h0)} initial states, the stack has {deep.n_layers} layers")
+    states, errors = run_states([deep], inputs, h0=h0)
+    if errors[0] is not None:
+        raise StateOverflowError(errors[0])
+    return StateTrajectory(states=_by_layer(deep, states[0]), washout=washout)
 
 
 def allocate_units(total: int, n_layers: int, concat: bool) -> list[int]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -212,19 +214,26 @@ def _toy_classification(seed, n_per_class, lengths):
 
 @pytest.mark.parametrize("kind", list(ResidualKind))
 @pytest.mark.parametrize("concat", [False, True])
-def test_last_state_features_match_per_sequence_forward(kind, concat):
-    # oracle: one forward call per sequence, last row of each kept layer
+def test_last_state_features_match_per_sequence_forward(kind, concat, monkeypatch):
+    # oracle: one forward call per sequence and reservoir, last row of each
+    # kept layer; two reservoirs run together, over whole length groups and
+    # over batches of two sequences
     configs = [LayerConfig(hidden_size=n, spectral_radius=0.9, input_scaling=1.0,
                            bias_scaling=0.1, alpha=0.5, beta=0.5, residual=kind)
                for n in (12, 8, 10)]
-    deep = build_deep_reservoir(configs, 1, RngStream(90), concat=concat)
+    deeps = [build_deep_reservoir(configs, 1, RngStream(seed), concat=concat)
+             for seed in (90, 92)]
     sequences = _toy_classification(91, 5, lengths=(15, 22, 9)).inputs
-    feats = harness._last_state_features(deep, sequences, concat)
-    for seq, row in zip(sequences, feats):
-        states = forward(deep, seq).states
-        want = np.concatenate([s[-1] for s in (states if concat else states[-1:])])
-        assert row.shape == want.shape
-        assert np.max(np.abs(row - want)) < 1e-12
+    for max_batch in (harness._MAX_BATCH, 2):
+        monkeypatch.setattr(harness, "_MAX_BATCH", max_batch)
+        feats, errors = harness._last_state_features(deeps, sequences, concat)
+        assert errors == [None, None]
+        for deep, deep_feats in zip(deeps, feats):
+            for seq, row in zip(sequences, deep_feats):
+                states = forward(deep, seq).states
+                want = np.concatenate([s[-1] for s in (states if concat else states[-1:])])
+                assert row.shape == want.shape
+                assert np.max(np.abs(row - want)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["regression", "classification"])
@@ -276,10 +285,80 @@ def test_empty_test_split_rejected_before_any_trial(tmp_path, monkeypatch):
                            beta=0.5, washout=0, lam=0.1)
     with pytest.raises(ValueError, match="empty test split"):
         run_trial(cfg, ds, seed=1)
-    monkeypatch.setattr(harness, "run_trial", no_trial)
+    monkeypatch.setattr(harness, "run_config", no_trial)
     with pytest.raises(ValueError, match="empty test split"):
         random_search(HyperGrid(), ModelClass.RES_ESN_I, ds, "toy", "classification",
                       budget=2, n_seeds=1, master_seed=0)
+
+
+def _without_wall_time(trial):
+    return dataclasses.replace(trial, wall_time=0.0)
+
+
+def _search_dataset(task_class):
+    if task_class == "memory":
+        return _tiny_task(length=300)[0]
+    return split(merge_train_test(_toy_classification(37, 8, (12, 17)),
+                                  _toy_classification(38, 4, (12, 17))), 0.7, seed=2)
+
+
+@pytest.mark.parametrize("model", [ModelClass.DEEP_RES_ESN_I, ModelClass.DEEP_RES_ESN_C,
+                                   ModelClass.DEEP_RES_ESN_R])
+@pytest.mark.parametrize("task_class", ["memory", "classification"])
+def test_search_trials_equal_seeds_run_alone(model, task_class):
+    # a search runs the seeds of a configuration together, in process and
+    # in a pool; each trial still equals its seed run alone, bit for bit
+    dataset = _search_dataset(task_class)
+    kwargs = dict(total_units=12, washout=20)
+    for jobs in (1, 2):
+        _, table = random_search(HyperGrid(), model, dataset, "toy", task_class, budget=2,
+                                 n_seeds=3, master_seed=4, jobs=jobs, **kwargs)
+        sampler = RngStream(4).child("sampler")
+        for i in range(2):
+            config = sample_config(HyperGrid(), model, "toy", task_class, sampler,
+                                   config_id=i, **kwargs)
+            for j in range(3):
+                seed = trial_seed(4, i, j)
+                got, = [t for t in table.trials if (t.config_id, t.seed) == (i, seed)]
+                assert not got.failed
+                assert _without_wall_time(got) == _without_wall_time(run_trial(config, dataset,
+                                                                             seed))
+
+
+@pytest.mark.parametrize("task_class", ["memory", "classification"])
+def test_non_finite_seed_fails_alone_with_its_own_message(task_class, monkeypatch):
+    # seed 7's first layer gets an infinite input weight, so its state turns
+    # NaN where the input is exactly 0 (0 * inf): step 270 of the series, or
+    # step 5 of one sequence; the other seeds of the configuration score as
+    # they do alone
+    dataset = _search_dataset(task_class)
+    zero_step = 270 if task_class == "memory" else 5
+    if task_class == "memory":
+        dataset.inputs[zero_step] = 0.0
+    else:
+        dataset.inputs[3][zero_step] = 0.0
+    build = harness.build_deep_reservoir
+
+    def poisoned(configs, input_dim, rng, concat=False):
+        deep = build(configs, input_dim, rng, concat=concat)
+        if rng.seed == 7:
+            deep.layers[0].w_x[0, 0] = np.inf
+        return deep
+
+    monkeypatch.setattr(harness, "build_deep_reservoir", poisoned)
+    config = ExperimentConfig(model_class=ModelClass.DEEP_RES_ESN_C, task="toy",
+                              task_class=task_class, total_units=12, n_layers=2, alpha=0.5,
+                              beta=0.5, inter_alpha=0.5, inter_beta=0.5, inter_rho=1.0,
+                              inter_omega_x=1.0, inter_omega_b=0.1, washout=20,
+                              lam=0.1 if task_class == "classification" else 0.0)
+    with np.errstate(invalid="ignore"):
+        together = harness.run_config(config, dataset, [5, 7, 9])
+        alone = [run_trial(config, dataset, seed) for seed in (5, 7, 9)]
+    assert [t.failed for t in together] == [False, True, False]
+    assert together[1].error == alone[1].error
+    assert alone[1].error == f"non-finite state at step {zero_step} in layer 1"
+    for a, b in zip(together, alone):
+        assert _without_wall_time(a) == _without_wall_time(b) or a.failed
 
 
 def test_trial_seed_stable_and_distinct():
@@ -344,13 +423,18 @@ def test_search_budget_one_returns_that_config():
     assert len(table.rows) == 1
 
 
+def _per_seed(fake_trial):
+    """A fake run_config that scores each seed with a fake single-seed trial."""
+    return lambda config, dataset, seeds: [fake_trial(config, dataset, seed) for seed in seeds]
+
+
 def test_search_finds_planted_optimum(monkeypatch):
     # plant a dominant hyperparameter value through a fake scorer
     def fake_trial(config, dataset, seed):
         score = 0.0 if config.rho == 0.9 else 1.0
         return TrialResult(config.config_id, seed, score, score, 0.0)
 
-    monkeypatch.setattr(harness, "run_trial", fake_trial)
+    monkeypatch.setattr(harness, "run_config", _per_seed(fake_trial))
     dataset, task_class = _tiny_task()
     best, _ = random_search(HyperGrid(), ModelClass.LEAKY_ESN, dataset, "sinmem10",
                             task_class, budget=20, n_seeds=2, master_seed=0)
@@ -364,7 +448,7 @@ def test_search_skips_failed_configs(monkeypatch):
                                failed=True, error="unstable")
         return TrialResult(config.config_id, seed, 1.0 + config.config_id, 0.0, 0.0)
 
-    monkeypatch.setattr(harness, "run_trial", fake_trial)
+    monkeypatch.setattr(harness, "run_config", _per_seed(fake_trial))
     dataset, task_class = _tiny_task()
     best, table = random_search(HyperGrid(), ModelClass.LEAKY_ESN, dataset, "sinmem10",
                                 task_class, budget=3, n_seeds=1, master_seed=0)
@@ -377,7 +461,7 @@ def test_search_all_failed_raises(monkeypatch):
         return TrialResult(config.config_id, seed, float("nan"), float("nan"), 0.0,
                            failed=True, error="unstable")
 
-    monkeypatch.setattr(harness, "run_trial", fake_trial)
+    monkeypatch.setattr(harness, "run_config", _per_seed(fake_trial))
     dataset, task_class = _tiny_task()
     with pytest.raises(RuntimeError):
         random_search(HyperGrid(), ModelClass.LEAKY_ESN, dataset, "sinmem10",
@@ -400,7 +484,7 @@ def test_classification_search_maximizes(monkeypatch):
         score = 0.9 if config.config_id == 2 else 0.1
         return TrialResult(config.config_id, seed, score, score, 0.0)
 
-    monkeypatch.setattr(harness, "run_trial", fake_trial)
+    monkeypatch.setattr(harness, "run_config", _per_seed(fake_trial))
     dataset, _ = _tiny_task()
     best, _ = random_search(HyperGrid(), ModelClass.RES_ESN_I, dataset, "toy",
                             "classification", budget=4, n_seeds=1, master_seed=0)

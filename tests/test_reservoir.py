@@ -17,6 +17,7 @@ from deepreservoir.reservoir import (
     final_states,
     forward,
     readout_features,
+    run_states,
     step,
     step_layer,
 )
@@ -56,6 +57,22 @@ def deep_leaky_trajectory(layers_whxb, taus, inputs):
             states[l] = h
             per_layer[l].append(h.copy())
             drive = h
+    return [np.asarray(seq) for seq in per_layer]
+
+
+def deep_residual_trajectory(layers, inputs):
+    """Stacked residual updates with the dense O of every kind; layer l > 1
+    eats layer l-1's fresh state."""
+    states = [np.zeros(layer.size) for layer in layers]
+    per_layer = [[] for _ in layers]
+    for x in inputs:
+        drive = x
+        for l, layer in enumerate(layers):
+            states[l] = (layer.alpha * (layer.o @ states[l])
+                         + layer.beta * np.tanh(layer.w_h @ states[l] + layer.w_x @ drive
+                                                + layer.b))
+            per_layer[l].append(states[l].copy())
+            drive = states[l]
     return [np.asarray(seq) for seq in per_layer]
 
 
@@ -353,6 +370,14 @@ def test_forward_names_layer_and_step_of_non_finite_state():
         forward(deep, np.zeros((5, 1)), h0=h0)
 
 
+def test_forward_rejects_wrong_number_of_initial_states():
+    configs = [_config(kind=ResidualKind.CYCLIC), _config(kind=ResidualKind.CYCLIC)]
+    deep = build_deep_reservoir(configs, 1, RngStream(60))
+    for count in (1, 3):
+        with pytest.raises(ValueError, match=f"h0 has {count} initial states, the stack has 2"):
+            forward(deep, np.zeros((5, 1)), h0=[np.zeros(10)] * count)
+
+
 def test_step_chains_layers_like_forward():
     deep = build_deep_reservoir([_config(), _config()], 1, RngStream(56))
     inputs = RngStream(57).uniform(-1, 1, (20, 1))
@@ -400,6 +425,95 @@ def test_final_states_names_non_finite_input():
     batch[3, 100, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite input at step 250 of sequence 2"):
         final_states(deep, batch)
+
+
+# ---------------------------------------------------------------------------
+# the chunked state loop
+
+
+CHUNK = reservoir._CHUNK
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+@pytest.mark.parametrize("t_total, washout", [(2 * CHUNK + 37, CHUNK + 5), (17, 3)])
+def test_run_states_matches_scalar_loop(kind, t_total, washout):
+    # T not a multiple of the chunk with the washout inside the second
+    # chunk, and T shorter than one chunk; three reservoirs run together,
+    # each against its own scalar loop
+    configs = [_config(n=n, kind=kind) for n in (12, 8, 10)]
+    deeps = [build_deep_reservoir(configs, 2, RngStream(seed)) for seed in (70, 71, 72)]
+    inputs = RngStream(73).uniform(-1, 1, (t_total, 2))
+    for concat in (False, True):
+        states, errors = run_states(deeps, inputs, washout, concat)
+        assert errors == [None] * 3
+        for deep, got in zip(deeps, states):
+            want = deep_residual_trajectory(deep.layers, inputs)
+            want = np.hstack([w[washout:] for w in (want if concat else want[-1:])])
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_run_states_batch_matches_per_sequence_loop(kind):
+    # 3 sequences per step advance CHUNK // 3 steps per chunk: 2 full chunks
+    # and a short one, with the washout inside the second
+    configs = [_config(n=n, kind=kind) for n in (12, 8)]
+    deeps = [build_deep_reservoir(configs, 1, RngStream(seed)) for seed in (74, 75)]
+    t_total, washout = 2 * (CHUNK // 3) + 11, CHUNK // 3 + 4
+    batch = RngStream(76).uniform(-1, 1, (t_total, 3, 1))
+    states, errors = run_states(deeps, batch, washout)
+    assert errors == [None, None]
+    for deep, got in zip(deeps, states):
+        assert got.shape == (t_total - washout, 3, 20)
+        for b in range(3):
+            want = np.hstack(deep_residual_trajectory(deep.layers, batch[:, b]))[washout:]
+            assert np.max(np.abs(got[:, b] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_run_states_stack_equals_each_reservoir_alone(kind):
+    configs = [_config(n=n, kind=kind) for n in (13, 7)]
+    deeps = [build_deep_reservoir(configs, 2, RngStream(seed)) for seed in (77, 78, 79)]
+    rng = RngStream(80)
+    for inputs, washout in ((rng.uniform(-1, 1, (CHUNK + 9, 2)), 5),
+                            (rng.uniform(-1, 1, (30, 4, 2)), 29)):
+        together, _ = run_states(deeps, inputs, washout)
+        for deep, got in zip(deeps, together):
+            alone, _ = run_states([deep], inputs, washout)
+            assert np.array_equal(got, alone[0])
+
+
+def test_run_states_prefix_is_bit_identical():
+    # every chunk's drive product spans the whole chunk, so a step's state
+    # does not depend on where the sequence ends
+    deep = build_deep_reservoir([_config(n=40), _config(n=40)], 1, RngStream(88))
+    inputs = RngStream(89).uniform(-1, 1, (2 * CHUNK + 5, 1))
+    short, _ = run_states([deep], inputs[:CHUNK + 10])
+    full, _ = run_states([deep], inputs)
+    assert np.array_equal(short[0], full[0][:CHUNK + 10])
+
+
+def test_run_states_fails_only_the_non_finite_reservoir():
+    deeps = [build_deep_reservoir([_config(), _config()], 1, RngStream(seed))
+             for seed in (81, 82, 83)]
+    deeps[1].layers[1].b[0] = np.nan
+    inputs = RngStream(84).uniform(-1, 1, (40, 1))
+    together, errors = run_states(deeps, inputs)
+    assert errors == [None, "non-finite state at step 0 in layer 2", None]
+    for deep, got, error in zip(deeps, together, errors):
+        alone, alone_errors = run_states([deep], inputs)
+        assert alone_errors == [error]
+        if error is None:
+            assert np.array_equal(got, alone[0])
+
+
+def test_run_states_rejects_reservoirs_of_different_shapes():
+    a = build_deep_reservoir([_config(n=10)], 1, RngStream(85))
+    b = build_deep_reservoir([_config(n=11)], 1, RngStream(86))
+    c = build_deep_reservoir([_config(n=10, alpha=0.3)], 1, RngStream(87))
+    for other in (b, c):
+        with pytest.raises(ValueError, match="share"):
+            run_states([a, other], np.zeros((5, 1)))
 
 
 # ---------------------------------------------------------------------------
