@@ -30,16 +30,6 @@ class Split:
     val: np.ndarray
     test: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {"train": self.train.tolist(), "val": self.val.tolist(),
-                "test": self.test.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Split":
-        return Split(train=np.asarray(d["train"], dtype=int),
-                     val=np.asarray(d["val"], dtype=int),
-                     test=np.asarray(d["test"], dtype=int))
-
 
 @dataclass
 class Dataset:
@@ -228,20 +218,21 @@ def narma_targets(x: np.ndarray, d: int) -> np.ndarray:
     y(t) = 0.3 y(t-1) + 0.01 y(t-1) sum_{i=1..d} y(t-i)
            + 1.5 x(t-d) x(t-1) + 0.1, with zero-padded history.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.zeros(len(x))
+    # Python floats round exactly as numpy scalars and index far faster
+    x = np.asarray(x, dtype=float).tolist()
+    y: list[float] = []
     for t in range(len(x)):
         y1 = y[t - 1] if t >= 1 else 0.0
         acc = 0.0
-        for i in range(1, d + 1):
-            if t - i >= 0:
-                acc += y[t - i]
+        for past in reversed(y[max(t - d, 0):]):  # y(t-1) first
+            acc += past
         xd = x[t - d] if t - d >= 0 else 0.0
         x1 = x[t - 1] if t >= 1 else 0.0
-        y[t] = 0.3 * y1 + 0.01 * y1 * acc + 1.5 * xd * x1 + 0.1
-        if abs(y[t]) > 1e3:
+        yt = 0.3 * y1 + 0.01 * y1 * acc + 1.5 * xd * x1 + 0.1
+        if abs(yt) > 1e3:
             raise GenerationError(f"recurrence diverged at step {t}")
-    return y
+        y.append(yt)
+    return np.array(y, dtype=float)
 
 
 def gen_narma(t_steps: int, d: int, rng: RngStream, max_attempts: int = 10) -> Dataset:
@@ -385,46 +376,52 @@ def write_sequence_classification(path, sequences, labels, fmt: str = "ucr-ts") 
 # ---------------------------------------------------------------------------
 # on-disk cache
 
+_CACHE_FORMAT = "deepreservoir-npz-1"
+
 
 def save_dataset(dataset: Dataset, out_dir, meta: dict | None = None) -> None:
-    """Cache a dataset as CSV arrays plus a JSON manifest."""
+    """Cache a dataset as one uncompressed arrays.npz plus a JSON manifest.
+
+    Regression inputs and targets are stored as they are. Classification
+    sequences are stored as one (sum T_i, N_x) array of (T_i, N_x) rows, a
+    (T,) sequence counting as one channel, with their lengths and labels.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"kind": dataset.kind,
-                "split": dataset.split.to_dict() if dataset.split else None,
-                "meta": meta or {}}
     if dataset.kind == "regression":
-        np.savetxt(out / "inputs.csv", dataset.inputs, delimiter=",", fmt="%.17g")
-        np.savetxt(out / "targets.csv", dataset.targets, delimiter=",", fmt="%.17g")
+        arrays = {"inputs": np.asarray(dataset.inputs), "targets": np.asarray(dataset.targets)}
     else:
-        with open(out / "inputs.csv", "w") as fh:
-            for i, seq in enumerate(dataset.inputs):
-                for t, row in enumerate(np.atleast_2d(seq)):
-                    cells = [str(i), str(t)] + [repr(float(v)) for v in np.ravel(row)]
-                    fh.write(",".join(cells) + "\n")
-        np.savetxt(out / "targets.csv",
-                   np.column_stack([np.arange(dataset.n_samples), dataset.targets]),
-                   delimiter=",", fmt="%d")
+        rows = [np.asarray(seq, dtype=float).reshape(len(seq), -1) for seq in dataset.inputs]
+        arrays = {"sequences": np.concatenate(rows),
+                  "lengths": np.array([len(r) for r in rows], dtype=int),
+                  "targets": np.asarray(dataset.targets)}
+    if dataset.split is not None:
+        for part in ("train", "val", "test"):
+            arrays[f"split_{part}"] = np.asarray(getattr(dataset.split, part), dtype=int)
+    np.savez(out / "arrays.npz", **arrays)
+    manifest = {"format": _CACHE_FORMAT, "kind": dataset.kind, "meta": meta or {}}
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Load a dataset cached by save_dataset."""
+    """Load a dataset cached by save_dataset; classification sequences come
+    back as views into one array."""
     src = Path(in_dir)
     with open(src / "manifest.json") as fh:
         manifest = json.load(fh)
-    split_obj = Split.from_dict(manifest["split"]) if manifest["split"] else None
+    if manifest.get("format") != _CACHE_FORMAT:
+        raise ValueError(f"{src}: not a {_CACHE_FORMAT} dataset cache (an older CSV "
+                         "layout?); regenerate it with `deepreservoir generate-data`")
+    with np.load(src / "arrays.npz", allow_pickle=False) as z:
+        arrays = {name: z[name] for name in z.files}
+    split_obj = None
+    if "split_train" in arrays:
+        split_obj = Split(train=arrays["split_train"], val=arrays["split_val"],
+                          test=arrays["split_test"])
     if manifest["kind"] == "regression":
-        inputs = np.atleast_2d(np.loadtxt(src / "inputs.csv", delimiter=",", ndmin=2))
-        targets = np.atleast_2d(np.loadtxt(src / "targets.csv", delimiter=",", ndmin=2))
-        return Dataset(inputs=inputs, targets=targets, kind="regression", split=split_obj)
-    rows = np.loadtxt(src / "inputs.csv", delimiter=",", ndmin=2)
-    labels_rows = np.loadtxt(src / "targets.csv", delimiter=",", ndmin=2, dtype=int)
-    sequences = []
-    for i in range(len(labels_rows)):
-        block = rows[rows[:, 0] == i]
-        block = block[np.argsort(block[:, 1])]
-        sequences.append(block[:, 2:])
-    labels = labels_rows[np.argsort(labels_rows[:, 0]), 1]
-    return Dataset(inputs=sequences, targets=labels, kind="classification", split=split_obj)
+        inputs = arrays["inputs"]
+    else:
+        inputs = np.split(arrays["sequences"], np.cumsum(arrays["lengths"])[:-1])
+    return Dataset(inputs=inputs, targets=arrays["targets"], kind=manifest["kind"],
+                   split=split_obj)

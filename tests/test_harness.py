@@ -23,8 +23,11 @@ from deepreservoir.numerics import RngStream
 from deepreservoir.reservoir import LayerConfig, ResidualKind, build_deep_reservoir, forward
 from deepreservoir.tasks import (
     Dataset,
+    Split,
+    load_dataset,
     load_sequence_classification,
     merge_train_test,
+    save_dataset,
     split,
     write_sequence_classification,
 )
@@ -254,6 +257,26 @@ def test_run_trial_accepts_one_dimensional_inputs(kind):
                                beta=0.5, washout=0, lam=0.1)
     want = run_trial(cfg, ds, seed=3)
     got = run_trial(cfg, flat, seed=3)
+    assert not got.failed, got.error
+    assert (got.val_metric, got.test_metric) == (want.val_metric, want.test_metric)
+
+
+def test_cached_one_dimensional_sequences_score_as_the_original(tmp_path):
+    # a (T,) sequence is one input channel after a cache round trip too
+    rng = RngStream(37)
+    seqs = [rng.uniform(-0.2, 0.2, 20) + (0.8 if i % 2 else -0.8) for i in range(30)]
+    ds = split(Dataset(inputs=seqs, targets=np.arange(30) % 2, kind="classification"),
+               0.8, seed=1)
+    ds = dataclasses.replace(ds, split=Split(ds.split.train, ds.split.val, ds.split.val))
+    save_dataset(ds, tmp_path / "cache")
+    back = load_dataset(tmp_path / "cache")
+    assert [seq.shape for seq in back.inputs] == [(20, 1)] * 30
+    assert all(np.array_equal(b, a[:, None]) for b, a in zip(back.inputs, seqs))
+    cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
+                           task_class="classification", total_units=10, alpha=0.5,
+                           beta=0.5, washout=0, lam=0.1)
+    want = run_trial(cfg, ds, seed=3)
+    got = run_trial(cfg, back, seed=3)
     assert not got.failed, got.error
     assert (got.val_metric, got.test_metric) == (want.val_metric, want.test_metric)
 

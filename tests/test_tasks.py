@@ -210,11 +210,18 @@ def test_narma_first_step_from_zero_history():
 def test_narma_matches_scalar_oracle_exactly():
     x = RngStream(8).uniform(0, 0.5, 200)
     assert np.array_equal(narma_targets(x, 30), narma_oracle(x, 30))
+    x = RngStream(8).uniform(0, 0.2, 200)
+    assert np.array_equal(narma_targets(x, 60), narma_oracle(x, 60))
+    short = RngStream(8).uniform(0, 0.5, 20)  # every step inside the zero history
+    assert np.array_equal(narma_targets(short, 30), narma_oracle(short, 30))
 
 
 def test_narma_divergence_guard_raises():
-    with pytest.raises(GenerationError):
-        narma_targets(np.full(300, 0.5), 30)
+    x = np.full(300, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle has no guard
+        first = int(np.argmax(np.abs(narma_oracle(x, 30)) > 1e3))
+    with pytest.raises(GenerationError, match=f"diverged at step {first}$"):
+        narma_targets(x, 30)
 
 
 def test_gen_narma_deterministic_and_finite():
@@ -364,3 +371,60 @@ def test_classification_cache_roundtrip(tmp_path):
     for got, want in zip(back.inputs, ds.inputs):
         assert np.array_equal(got, want)
     assert np.array_equal(back.split.val, ds.split.val)
+
+
+def _assert_exact(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _assert_same_split(got, want):
+    assert (got.split is None) == (want.split is None)
+    if want.split is not None:
+        for part in ("train", "val", "test"):
+            _assert_exact(getattr(got.split, part), getattr(want.split, part))
+
+
+@pytest.mark.parametrize("shape", [(50,), (50, 1), (50, 3)])
+@pytest.mark.parametrize("with_split", [True, False])
+def test_regression_cache_keeps_shape_and_dtype(tmp_path, shape, with_split):
+    rng = RngStream(18)
+    ds = Dataset(inputs=rng.uniform(-1, 1, shape), targets=rng.uniform(-1, 1, (50, 2)),
+                 kind="regression")
+    if with_split:
+        ds = split(ds, (30, 10, 10))
+    save_dataset(ds, tmp_path / "cache")
+    back = load_dataset(tmp_path / "cache")
+    assert back.kind == "regression"
+    _assert_exact(back.inputs, ds.inputs)
+    _assert_exact(back.targets, ds.targets)
+    _assert_same_split(back, ds)
+
+
+@pytest.mark.parametrize("with_split", [True, False])
+def test_classification_cache_keeps_mixed_lengths_channels_and_labels(tmp_path, with_split):
+    rng = RngStream(19)
+    seqs = [rng.uniform(-1, 1, (t, 2)) for t in (5, 9, 1, 7, 9, 3)]
+    ds = Dataset(inputs=seqs, targets=np.array([0, 2, 1, 0, 1, 2]), kind="classification")
+    if with_split:
+        ds = split(ds, 0.5, seed=4)
+    save_dataset(ds, tmp_path / "cache")
+    back = load_dataset(tmp_path / "cache")
+    assert back.kind == "classification"
+    _assert_exact(back.targets, ds.targets)
+    assert back.targets.dtype.kind == "i"
+    assert len(back.inputs) == len(seqs)
+    for got, want in zip(back.inputs, seqs):
+        _assert_exact(got, want)
+    _assert_same_split(back, ds)
+
+
+def test_cache_rejects_old_csv_layout(tmp_path):
+    old = tmp_path / "cache"
+    old.mkdir()
+    (old / "inputs.csv").write_text("0.5\n0.25\n")
+    (old / "targets.csv").write_text("1.0\n0.0\n")
+    (old / "manifest.json").write_text('{"kind": "regression", "split": null, "meta": {}}')
+    with pytest.raises(ValueError, match="regenerate it with `deepreservoir generate-data`") as err:
+        load_dataset(old)
+    assert str(old) in str(err.value)
