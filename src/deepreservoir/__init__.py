@@ -14,7 +14,6 @@ from .reservoir import (
     build_deep_reservoir,
     build_layer,
     build_residual,
-    final_states,
     forward,
     readout_features,
     step,
@@ -39,7 +38,6 @@ __all__ = [
     "build_deep_reservoir",
     "build_layer",
     "build_residual",
-    "final_states",
     "forward",
     "readout_features",
     "step",

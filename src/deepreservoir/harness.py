@@ -312,6 +312,13 @@ def _last_state_features(deeps: list[DeepReservoir], sequences: list[np.ndarray]
     errors: list[str | None] = [None] * len(deeps)
     for idx in batches:
         group = np.stack([_as_steps(sequences[i]) for i in idx], axis=1)  # (T, B, N_x)
+        # checked here, so that the message names the dataset's index and
+        # not the position inside the batch, as run_states would
+        finite = np.isfinite(group).all(axis=(0, 2))
+        if not finite.all():
+            i = idx[np.argmin(finite)]
+            t = np.argmin(np.isfinite(_as_steps(sequences[i])).all(axis=1))
+            raise ValueError(f"non-finite input at step {t} of sequence {i}")
         states, group_errors = run_states(deeps, group, len(group) - 1, concat)
         for s, (last, error) in enumerate(zip(states, group_errors)):
             feats[s][idx] = last[0]
@@ -330,11 +337,22 @@ def _classification_metrics(config: ExperimentConfig, feats: np.ndarray,
     return val, test
 
 
-def _require_scorable_split(dataset: Dataset) -> None:
-    if dataset.split is None:
+def _require_scorable_split(dataset: Dataset, washout: int) -> None:
+    """Reject a split no trial can be scored on, before any trial runs: a
+    regression readout needs a train row after the washout to fit and two
+    val and two test rows to take an NRMSE."""
+    sp = dataset.split
+    if sp is None:
         raise ValueError("dataset has no split attached")
-    if len(dataset.split.test) == 0:
+    if len(sp.test) == 0:
         raise ValueError("dataset has an empty test split: no samples to score a trial on")
+    if dataset.kind == "regression":
+        rows = [int(np.count_nonzero(idx >= washout)) for idx in (sp.train, sp.val, sp.test)]
+        if rows[0] < 1 or rows[1] < 2 or rows[2] < 2:
+            raise ValueError(
+                f"washout {washout} leaves {rows[0]}/{rows[1]}/{rows[2]} train/val/test rows "
+                f"of the {len(sp.train)}/{len(sp.val)}/{len(sp.test)} split; "
+                "a trial needs at least 1/2/2")
 
 
 def _score(config: ExperimentConfig, feats: np.ndarray, dataset: Dataset) -> tuple[float, float]:
@@ -361,7 +379,7 @@ def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> 
     dynamics fail only their own seed, reported as a failed trial rather
     than raised. Each trial's wall_time is an equal share of the run.
     """
-    _require_scorable_split(dataset)
+    _require_scorable_split(dataset, config.washout)
     if not seeds:
         return []
     started = time.perf_counter()
@@ -445,7 +463,7 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
     """
     if budget < 1:
         raise ValueError("search budget must be >= 1")
-    _require_scorable_split(dataset)
+    _require_scorable_split(dataset, washout)
     sampler = RngStream(master_seed).child("sampler")
     configs = [
         sample_config(grid, model_class, task, task_class, sampler,
@@ -508,9 +526,11 @@ def make_task(name: str, seed: int, length: int | None = None) -> tuple[Dataset,
     """Generate a registered benchmark with its split attached."""
     if name not in TASK_SPECS:
         raise ValueError(f"unknown task {name!r}; known: {sorted(TASK_SPECS)}")
+    if length is not None and length < 1:
+        raise ValueError(f"task length must be >= 1, got {length}")
     spec = TASK_SPECS[name]
     rng = RngStream(seed).child(("task", name))
-    t_steps = length or spec["length"]
+    t_steps = spec["length"] if length is None else length
     family = spec["family"]
     if family == "ctxor":
         ds = _tasks.gen_ctxor(t_steps, spec["d"], spec["p"], rng)

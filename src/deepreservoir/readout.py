@@ -14,7 +14,6 @@ class ReadoutModel:
     """Linear map y = W_o @ h fitted by ridge regression (no intercept)."""
 
     w_o: np.ndarray
-    lam: float
 
     @property
     def feature_dim(self) -> int:
@@ -28,7 +27,7 @@ def fit(features: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> ReadoutM
     if targets.ndim == 1:
         targets = targets[:, None]
     w_o = ridge_solve(features, targets, lam)
-    return ReadoutModel(w_o=w_o, lam=lam)
+    return ReadoutModel(w_o)
 
 
 def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
@@ -47,7 +46,7 @@ def nrmse(pred: np.ndarray, target: np.ndarray, normalizer: str = "std") -> floa
 
     The default normalizer is the population standard deviation of the
     target; "rms" divides by the root mean square of the target (the
-    benchmark-table convention, see harness) and "range" by max - min.
+    benchmark-table convention, see harness).
     Multivariate targets average the per-dimension score.
     """
     pred = np.asarray(pred, dtype=float)
@@ -67,8 +66,6 @@ def nrmse(pred: np.ndarray, target: np.ndarray, normalizer: str = "std") -> floa
             denom = float(np.std(t))
         elif normalizer == "rms":
             denom = float(np.sqrt(np.mean(t * t)))
-        elif normalizer == "range":
-            denom = float(np.max(t) - np.min(t))
         else:
             raise ValueError(f"unknown normalizer: {normalizer!r}")
         if denom == 0.0:

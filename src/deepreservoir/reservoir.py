@@ -422,23 +422,6 @@ def _by_layer(deep: DeepReservoir, states: np.ndarray) -> list[np.ndarray]:
     return np.split(states, np.cumsum([layer.size for layer in deep.layers])[:-1], axis=-1)
 
 
-def final_states(deep: DeepReservoir, batch: np.ndarray) -> list[np.ndarray]:
-    """Last state of every layer for B equal-length sequences run together.
-
-    batch is (B, T, N_x); every sequence starts from the zero state. All B
-    sequences advance together through run_states, so each layer does one
-    (B, N) matrix product per step and nothing of size T is kept. Returns
-    one (B, N_l) array per layer.
-    """
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 3 or batch.shape[0] == 0 or batch.shape[1] == 0:
-        raise ValueError(f"batch has shape {batch.shape}, expected non-empty (B, T, N_x)")
-    states, errors = run_states([deep], batch.transpose(1, 0, 2), batch.shape[1] - 1)
-    if errors[0] is not None:
-        raise StateOverflowError(errors[0])
-    return _by_layer(deep, states[0][0])
-
-
 def forward(deep: DeepReservoir, inputs: np.ndarray, washout: int = 0,
             h0: list[np.ndarray] | None = None) -> StateTrajectory:
     """Run the stack over an input sequence.

@@ -121,8 +121,7 @@ def necessary_esp(deep: DeepReservoir) -> tuple[float, bool]:
 
 
 def per_layer_spectral_radii(deep: DeepReservoir) -> list[float]:
-    return [spectral_radius(layer.alpha * layer.o + layer.beta * layer.w_h)
-            for layer in deep.layers]
+    return [spectral_radius(_block(layer, np.ones(layer.size))) for layer in deep.layers]
 
 
 def contraction_coefficients(deep: DeepReservoir) -> tuple[list[float], float]:
@@ -156,18 +155,10 @@ def esp_convergence_test(deep: DeepReservoir, input_seq: np.ndarray,
     Entry 0 is the initial distance; entry t the distance after t steps. A
     contraction with coefficient C bounds the trace by C**t times entry 0.
     """
-    input_seq = np.asarray(input_seq, dtype=float)
-    if input_seq.ndim == 1:
-        input_seq = input_seq[:, None]
-    a = [np.asarray(v, dtype=float) for v in h]
-    b = [np.asarray(v, dtype=float) for v in h_prime]
-    trace = np.empty(input_seq.shape[0] + 1)
-    trace[0] = max_metric(a, b)
-    for t in range(input_seq.shape[0]):
-        a = _res.step(deep, a, input_seq[t])
-        b = _res.step(deep, b, input_seq[t])
-        trace[t + 1] = max_metric(a, b)
-    return trace
+    a = _res.forward(deep, input_seq, h0=h).states
+    b = _res.forward(deep, input_seq, h0=h_prime).states
+    per_layer = [np.linalg.norm(sa - sb, axis=1) for sa, sb in zip(a, b)]
+    return np.concatenate([[max_metric(h, h_prime)], np.max(per_layer, axis=0)])
 
 
 def eigenspectrum_report(deep: DeepReservoir, h: list[np.ndarray],

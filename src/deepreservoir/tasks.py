@@ -166,20 +166,15 @@ def gen_lorenz96(t_steps: int, dims: int = 5, forcing: float = 8.0, dt: float = 
 
 
 def mackey_glass_series(n_units: int, delay: int = 17, dt: float = 0.1,
-                        subsample: int = 10, transient: int = 1000,
-                        initial: float = 1.2, denominator_leak: bool = False) -> np.ndarray:
+                        transient: int = 1000, initial: float = 1.2) -> np.ndarray:
     """Delay-differential oscillator sampled at unit time spacing.
 
-    Euler integration with step dt and a constant initial history. The
-    standard form subtracts the 0.1 f(t) leak outside the saturating
-    fraction; denominator_leak moves it into the denominator instead
-    (a variant occasionally seen in print).
+    Euler integration with step dt and a constant initial history; every
+    round(1/dt)-th step is kept, so samples lie one time unit apart.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     steps_per_unit = int(round(1.0 / dt))
-    if subsample != steps_per_unit:
-        raise ValueError("subsample must equal 1/dt so output spacing is one time unit")
     delay_steps = delay * steps_per_unit
     if abs(delay / dt - delay_steps) > 1e-9:
         raise ValueError("delay must be an integer number of dt steps")
@@ -189,10 +184,7 @@ def mackey_glass_series(n_units: int, delay: int = 17, dt: float = 0.1,
     f[0] = initial
     for i in range(n_steps):
         delayed = f[i - delay_steps] if i - delay_steps >= 0 else initial
-        if denominator_leak:
-            df = 0.2 * delayed / (1.0 + delayed ** 10 - 0.1 * f[i])
-        else:
-            df = 0.2 * delayed / (1.0 + delayed ** 10) - 0.1 * f[i]
+        df = 0.2 * delayed / (1.0 + delayed ** 10) - 0.1 * f[i]
         f[i + 1] = f[i] + dt * df
         if not np.isfinite(f[i + 1]):
             raise GenerationError(f"delay oscillator diverged at step {i}")
@@ -201,12 +193,9 @@ def mackey_glass_series(n_units: int, delay: int = 17, dt: float = 0.1,
 
 
 def gen_mackey_glass(t_steps: int, delay: int = 17, dt: float = 0.1,
-                     subsample: int = 10, horizon: int = 1,
-                     denominator_leak: bool = False) -> Dataset:
+                     horizon: int = 1) -> Dataset:
     """Forecast the oscillator horizon units ahead: input f(t), target f(t + h)."""
-    series = mackey_glass_series(t_steps + horizon, delay=delay, dt=dt,
-                                 subsample=subsample,
-                                 denominator_leak=denominator_leak)
+    series = mackey_glass_series(t_steps + horizon, delay=delay, dt=dt)
     return Dataset(inputs=series[:t_steps, None],
                    targets=series[horizon:horizon + t_steps, None],
                    kind="regression")
@@ -235,18 +224,22 @@ def narma_targets(x: np.ndarray, d: int) -> np.ndarray:
     return np.array(y, dtype=float)
 
 
-def gen_narma(t_steps: int, d: int, rng: RngStream, max_attempts: int = 10) -> Dataset:
+# Input draws attempted before a diverging NARMA recurrence is an error.
+_NARMA_ATTEMPTS = 10
+
+
+def gen_narma(t_steps: int, d: int, rng: RngStream) -> Dataset:
     """NARMA task on uniform [0, 0.5] input; redraws the input on divergence."""
     if t_steps <= d:
         raise ValueError("series length must exceed the order")
-    for _ in range(max_attempts):
+    for _ in range(_NARMA_ATTEMPTS):
         x = rng.uniform(0.0, 0.5, t_steps)
         try:
             y = narma_targets(x, d)
         except GenerationError:
             continue
         return Dataset(inputs=x[:, None], targets=y[:, None], kind="regression")
-    raise GenerationError(f"recurrence diverged in {max_attempts} consecutive draws")
+    raise GenerationError(f"recurrence diverged in {_NARMA_ATTEMPTS} consecutive draws")
 
 
 # ---------------------------------------------------------------------------

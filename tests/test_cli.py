@@ -113,6 +113,14 @@ def test_failure_emits_machine_readable_error(tmp_path, capsys):
     assert "error" in err and "message" in err
 
 
+def test_search_rejects_zero_length(tmp_path, capsys):
+    rc = main(["search", "--task", "sinmem10", "--model", "LeakyESN", "--length", "0",
+               "--budget", "1", "--seeds", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": "task length must be >= 1, got 0"}
+
+
 def test_cli_rejects_unknown_task(capsys):
     with pytest.raises(SystemExit):
         main(["generate-data", "--task", "not-a-task"])

@@ -314,6 +314,40 @@ def test_empty_test_split_rejected_before_any_trial(tmp_path, monkeypatch):
                       budget=2, n_seeds=1, master_seed=0)
 
 
+def test_non_finite_input_names_its_dataset_sequence():
+    # lengths alternate, so sequence 17 is the ninth of the 30-step group
+    ds = _toy_classification(39, 20, (20, 30))
+    ds.inputs[17][5, 0] = np.nan
+    ds = split(ds, (24, 8, 8))
+    cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
+                           task_class="classification", total_units=10, alpha=0.5,
+                           beta=0.5, washout=0, lam=0.1)
+    with pytest.raises(ValueError, match="non-finite input at step 5 of sequence 17$"):
+        run_trial(cfg, ds, seed=1)
+
+
+def test_washout_that_leaves_no_scorable_rows_rejected_before_any_trial(monkeypatch):
+    ds, task_class = make_task("sinmem10", 1, length=250)
+    sizes = (len(ds.split.train), len(ds.split.val), len(ds.split.test))
+    assert sizes == (166, 41, 43)
+    assert not run_trial(_leaky_config(washout=165), ds, seed=1).failed  # 1 train row left
+    with pytest.raises(ValueError, match="washout 166 leaves 0/41/43 train/val/test rows "
+                                         "of the 166/41/43 split"):
+        run_trial(_leaky_config(washout=166), ds, seed=1)
+    short_val = dataclasses.replace(ds, split=Split(np.arange(100), np.arange(100, 101),
+                                                    np.arange(101, 250)))
+    with pytest.raises(ValueError, match="leaves 100/1/149 train/val/test rows"):
+        run_trial(_leaky_config(washout=0), short_val, seed=1)
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_config", no_trial)
+    with pytest.raises(ValueError, match="washout 200 leaves 0/7/43 train/val/test rows"):
+        random_search(HyperGrid(), ModelClass.LEAKY_ESN, ds, "sinmem10", task_class,
+                      budget=2, n_seeds=1, master_seed=0, washout=200)
+
+
 def _without_wall_time(trial):
     return dataclasses.replace(trial, wall_time=0.0)
 
@@ -584,6 +618,12 @@ def test_make_task_registry_full_lengths():
 def test_make_task_rejects_unknown():
     with pytest.raises(ValueError):
         make_task("nope", seed=0)
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_make_task_rejects_non_positive_length(length):
+    with pytest.raises(ValueError, match=f"task length must be >= 1, got {length}"):
+        make_task("sinmem10", seed=0, length=length)
 
 
 def test_make_task_deterministic():

@@ -30,18 +30,18 @@ def test_fit_huge_penalty_shrinks_predictions():
 
 
 def test_predict_zero_features_zero_output():
-    model = ReadoutModel(w_o=np.ones((2, 5)), lam=0.0)
+    model = ReadoutModel(w_o=np.ones((2, 5)))
     assert np.array_equal(predict(model, np.zeros((4, 5))), np.zeros((4, 2)))
 
 
 def test_predict_identity_readout_passes_features_through():
-    model = ReadoutModel(w_o=np.eye(3), lam=0.0)
+    model = ReadoutModel(w_o=np.eye(3))
     feats = RngStream(4).uniform(-1, 1, (7, 3))
     assert np.array_equal(predict(model, feats), feats)
 
 
 def test_predict_rejects_width_mismatch():
-    model = ReadoutModel(w_o=np.eye(3), lam=0.0)
+    model = ReadoutModel(w_o=np.eye(3))
     with pytest.raises(ValueError):
         predict(model, np.zeros((4, 5)))
 
@@ -108,13 +108,6 @@ def test_nrmse_affine_invariance():
 def test_nrmse_constant_target_rejected():
     with pytest.raises(ValueError):
         nrmse(np.ones(10), np.ones(10))
-
-
-def test_nrmse_range_normalizer():
-    pred = np.array([0.0, 1.0, 2.0, 3.0])
-    target = np.array([0.0, 2.0, 2.0, 4.0])
-    rmse = np.sqrt(np.mean((pred - target) ** 2))
-    assert nrmse(pred, target, normalizer="range") == pytest.approx(rmse / 4.0)
 
 
 def test_nrmse_rms_normalizer():

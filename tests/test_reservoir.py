@@ -14,7 +14,6 @@ from deepreservoir.reservoir import (
     build_deep_reservoir,
     build_layer,
     build_residual,
-    final_states,
     forward,
     readout_features,
     run_states,
@@ -390,44 +389,6 @@ def test_step_chains_layers_like_forward():
 
 
 # ---------------------------------------------------------------------------
-# batched final states
-
-
-@pytest.mark.parametrize("kind", list(ResidualKind))
-def test_final_states_match_forward_last_states(kind):
-    configs = [_config(n=n, kind=kind) for n in (12, 8, 10)]
-    deep = build_deep_reservoir(configs, 2, RngStream(80))
-    batch = RngStream(81).uniform(-1, 1, (6, 40, 2))
-    states = final_states(deep, batch)
-    assert [s.shape for s in states] == [(6, 12), (6, 8), (6, 10)]
-    for b in range(6):
-        traj = forward(deep, batch[b])
-        for got, want in zip(states, traj.states):
-            assert np.max(np.abs(got[b] - want[-1])) < 1e-12
-
-
-def test_final_states_rejects_bad_batches():
-    deep = build_deep_reservoir([_config()], 1, RngStream(84))
-    with pytest.raises(ValueError):
-        final_states(deep, np.zeros((0, 5, 1)))
-    with pytest.raises(ValueError):
-        final_states(deep, np.zeros((2, 0, 1)))
-    with pytest.raises(ValueError):
-        final_states(deep, np.zeros((2, 5, 3)))
-    with pytest.raises(ValueError):
-        final_states(deep, np.zeros((2, 5)))
-
-
-def test_final_states_names_non_finite_input():
-    deep = build_deep_reservoir([_config()], 1, RngStream(85))
-    batch = RngStream(86).uniform(-1, 1, (4, 400, 1))
-    batch[2, 250, 0] = np.inf
-    batch[3, 100, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite input at step 250 of sequence 2"):
-        final_states(deep, batch)
-
-
-# ---------------------------------------------------------------------------
 # the chunked state loop
 
 
@@ -505,6 +466,16 @@ def test_run_states_fails_only_the_non_finite_reservoir():
         assert alone_errors == [error]
         if error is None:
             assert np.array_equal(got, alone[0])
+
+
+def test_run_states_names_non_finite_input_of_a_batch():
+    # the lowest sequence with a non-finite input is named, not the earliest step
+    deep = build_deep_reservoir([_config()], 1, RngStream(85))
+    batch = RngStream(86).uniform(-1, 1, (4, 400, 1)).transpose(1, 0, 2)  # (T, B, N_x)
+    batch[250, 2, 0] = np.inf
+    batch[100, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite input at step 250 of sequence 2$"):
+        run_states([deep], batch)
 
 
 def test_run_states_rejects_reservoirs_of_different_shapes():

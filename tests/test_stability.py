@@ -257,6 +257,26 @@ def test_convergence_bounded_by_geometric_envelope():
     assert np.all(trace <= envelope + 1e-12)
 
 
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_convergence_trace_matches_step_loop(kind):
+    # oracle: both trajectories advanced one global step at a time, from
+    # starting states that differ in every layer, over more than one chunk
+    deep = build_deep_reservoir([_config(n=n, kind=kind) for n in (10, 7, 12)], 2,
+                                RngStream(47))
+    rng = RngStream(48)
+    h, _ = random_probe(deep, rng)
+    h_prime, _ = random_probe(deep, rng)
+    inputs = rng.uniform(-1, 1, (300, 2))
+    a, b = h, h_prime
+    want = [max_metric(a, b)]
+    for x in inputs:
+        a, b = step(deep, a, x), step(deep, b, x)
+        want.append(max_metric(a, b))
+    trace = esp_convergence_test(deep, inputs, h, h_prime)
+    assert trace.shape == (301,)
+    assert np.max(np.abs(trace - want)) < 1e-12
+
+
 def test_convergence_below_threshold_within_500_steps():
     deep = build_contractive_stack(0.9, seed=45)
     rng = RngStream(46)

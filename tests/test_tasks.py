@@ -166,28 +166,17 @@ def test_mackey_glass_attractor_range():
 
 
 def test_mackey_glass_euler_step_halving_first_order():
-    a = mackey_glass_series(50, dt=0.1, subsample=10, transient=0)
-    b = mackey_glass_series(50, dt=0.05, subsample=20, transient=0)
-    c = mackey_glass_series(50, dt=0.025, subsample=40, transient=0)
+    a = mackey_glass_series(50, dt=0.1, transient=0)
+    b = mackey_glass_series(50, dt=0.05, transient=0)
+    c = mackey_glass_series(50, dt=0.025, transient=0)
     ratio = np.linalg.norm(a - b) / np.linalg.norm(b - c)
     assert 1.5 <= ratio <= 2.8
-
-
-def test_mackey_glass_denominator_variant_differs():
-    a = mackey_glass_series(50, transient=0)
-    b = mackey_glass_series(50, transient=0, denominator_leak=True)
-    assert not np.allclose(a, b)
 
 
 def test_gen_mackey_glass_horizon_alignment():
     ds = gen_mackey_glass(200, horizon=84)
     assert ds.inputs.shape == (200, 1)
     assert np.array_equal(ds.targets[:-84, 0], ds.inputs[84:, 0])
-
-
-def test_mackey_glass_validates_subsampling():
-    with pytest.raises(ValueError):
-        mackey_glass_series(10, dt=0.1, subsample=5)
 
 
 # ---------------------------------------------------------------------------
