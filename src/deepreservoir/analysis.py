@@ -103,11 +103,3 @@ def band_split_bin(t_steps: int, phi: float = 0.74) -> int:
     """
     return int(round(phi * t_steps / (2.0 * np.pi)))
 
-
-def profile_rows(profile: SpectralProfile) -> list[tuple[int, int, float]]:
-    """Flatten a profile into (layer, bin, magnitude) rows for CSV dumps."""
-    rows = []
-    for l, spec in enumerate(profile.spectra, start=1):
-        for k, mag in enumerate(spec):
-            rows.append((l, k, float(mag)))
-    return rows

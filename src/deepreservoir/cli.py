@@ -156,7 +156,7 @@ def _cmd_spectra(args) -> None:
     signal = analysis.multisine(args.length)
     profile = analysis.layerwise_spectra(_layer_configs_from_args(args), signal,
                                          trials=args.trials, seed=args.seed)
-    harness.emit_reports(args.out, spectra={args.kind: analysis.profile_rows(profile)})
+    harness.emit_reports(args.out, spectra={args.kind: profile.spectra})
     split_bin = analysis.band_split_bin(profile.sample_count)
     fractions = [analysis.band_energy_ratio(s, split_bin) for s in profile.spectra]
     print("high-band energy fraction per layer: "
@@ -168,11 +168,7 @@ def _cmd_eigen(args) -> None:
     deep = build_deep_reservoir(_layer_configs_from_args(args), args.input_dim, rng)
     h, x = stability.random_probe(deep, rng.child("probe"))
     eigs = stability.eigenspectrum_report(deep, h, x)
-    harness.emit_reports(args.out, eigen={args.kind: stability.eigenvalue_rows(eigs)})
-    as_json = {f"layer_{l}": [[float(v.real), float(v.imag)] for v in layer_eigs]
-               for l, layer_eigs in enumerate(eigs, start=1)}
-    with open(args.out / "eigen" / f"{args.kind}.json", "w") as fh:
-        json.dump(as_json, fh)
+    harness.emit_reports(args.out, eigen={args.kind: eigs})
     radii = [float(np.max(np.abs(e))) for e in eigs]
     print("max |eigenvalue| per layer: " + ", ".join(f"{r:.3f}" for r in radii))
 

@@ -193,8 +193,11 @@ class TrialResult:
     val_metric: float
     test_metric: float
     wall_time: float
-    failed: bool = False
     error: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 @dataclass
@@ -271,25 +274,6 @@ def _input_dim(dataset: Dataset) -> int:
     return _as_steps(first).shape[1]
 
 
-def _regression_metrics(config: ExperimentConfig, feats: np.ndarray,
-                        dataset: Dataset) -> tuple[float, float]:
-    # benchmark tables normalize by the target's root mean square (the
-    # convention the published per-task numbers follow), not its std
-    targets = np.asarray(dataset.targets, dtype=float)
-    sp = dataset.split
-
-    def rows_for(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kept = idx[idx >= config.washout]
-        return feats[kept - config.washout], targets[kept]
-
-    x_train, y_train = rows_for(sp.train)
-    model = fit(x_train, y_train, config.lam)
-    val_x, val_y = rows_for(sp.val)
-    test_x, test_y = rows_for(sp.test)
-    return (nrmse(predict(model, val_x), val_y, normalizer="rms"),
-            nrmse(predict(model, test_x), test_y, normalizer="rms"))
-
-
 # Sequences of one length run together in batches of at most this many,
 # which bounds the stacked copy of their inputs and the (S, B, N) states of
 # S seeds whatever the dataset's size.
@@ -326,26 +310,18 @@ def _last_state_features(deeps: list[DeepReservoir], sequences: list[np.ndarray]
     return feats, errors
 
 
-def _classification_metrics(config: ExperimentConfig, feats: np.ndarray,
-                            dataset: Dataset) -> tuple[float, float]:
-    labels = np.asarray(dataset.targets, dtype=int)
-    sp = dataset.split
-    targets = one_hot(labels, dataset.n_classes)
-    model = fit(feats[sp.train], targets[sp.train], config.lam)
-    val = accuracy(predict(model, feats[sp.val]), labels[sp.val]) if len(sp.val) else float("nan")
-    test = accuracy(predict(model, feats[sp.test]), labels[sp.test])
-    return val, test
-
-
 def _require_scorable_split(dataset: Dataset, washout: int) -> None:
     """Reject a split no trial can be scored on, before any trial runs: a
-    regression readout needs a train row after the washout to fit and two
-    val and two test rows to take an NRMSE."""
+    readout needs a train row to fit, and a regression one two val and two
+    test rows after the washout to take an NRMSE; a classification search
+    selects on val, so val must hold a sequence."""
     sp = dataset.split
     if sp is None:
         raise ValueError("dataset has no split attached")
     if len(sp.test) == 0:
         raise ValueError("dataset has an empty test split: no samples to score a trial on")
+    if len(sp.train) == 0:
+        raise ValueError("dataset has an empty train split: no samples to fit a readout on")
     if dataset.kind == "regression":
         rows = [int(np.count_nonzero(idx >= washout)) for idx in (sp.train, sp.val, sp.test)]
         if rows[0] < 1 or rows[1] < 2 or rows[2] < 2:
@@ -353,21 +329,38 @@ def _require_scorable_split(dataset: Dataset, washout: int) -> None:
                 f"washout {washout} leaves {rows[0]}/{rows[1]}/{rows[2]} train/val/test rows "
                 f"of the {len(sp.train)}/{len(sp.val)}/{len(sp.test)} split; "
                 "a trial needs at least 1/2/2")
+    elif len(sp.val) == 0:
+        raise ValueError("dataset has an empty val split: no samples to select a configuration "
+                         "on; re-split its train sequences with tasks.split(dataset, fraction)")
 
 
 def _score(config: ExperimentConfig, feats: np.ndarray, dataset: Dataset) -> tuple[float, float]:
-    """Fit one reservoir's readout and score it on validation and test."""
+    """Fit one reservoir's readout on the train rows and score it on val and
+    test. Regression has a row per step from the washout on and scores NRMSE
+    normalized by the target's root mean square (the convention the published
+    per-task numbers follow, not the std); classification has a row per
+    sequence, fits one-hot targets and scores accuracy."""
+    sp = dataset.split
     if dataset.kind == "regression":
-        val, test = _regression_metrics(config, feats, dataset)
+        washout = config.washout
+        truth = fit_targets = np.asarray(dataset.targets, dtype=float)
+        metric = lambda pred, y: nrmse(pred, y, normalizer="rms")
     else:
-        val, test = _classification_metrics(config, feats, dataset)
-    # an empty validation split (classification before re-splitting) may
-    # legitimately score nan; anything else non-finite is a failure
-    val_ok = np.isfinite(val) or (dataset.kind == "classification"
-                                  and len(dataset.split.val) == 0)
-    if not val_ok or not np.isfinite(test):
+        washout = 0
+        metric = accuracy
+        truth = np.asarray(dataset.targets, dtype=int)
+        fit_targets = one_hot(truth, dataset.n_classes)
+
+    def rows(idx: np.ndarray) -> np.ndarray:
+        return idx[idx >= washout]
+
+    train = rows(sp.train)
+    model = fit(feats[train - washout], fit_targets[train], config.lam)
+    scores = [metric(predict(model, feats[idx - washout]), truth[idx])
+              for idx in (rows(sp.val), rows(sp.test))]
+    if not np.all(np.isfinite(scores)):
         raise StateOverflowError("non-finite metric")
-    return float(val), float(test)
+    return float(scores[0]), float(scores[1])
 
 
 def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> list[TrialResult]:
@@ -381,7 +374,7 @@ def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> 
     """
     _require_scorable_split(dataset, config.washout)
     if not seeds:
-        return []
+        raise ValueError("no seeds to run: a configuration needs at least one seed")
     started = time.perf_counter()
     deeps = [build_deep_reservoir(config.layer_configs(), _input_dim(dataset), RngStream(seed),
                                   concat=config.concat) for seed in seeds]
@@ -400,8 +393,8 @@ def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> 
                 error = str(exc)
         outcomes.append((seed, val, test, error))
     wall = (time.perf_counter() - started) / len(seeds)
-    return [TrialResult(config.config_id, seed, val, test, wall, failed=error is not None,
-                        error=error) for seed, val, test, error in outcomes]
+    return [TrialResult(config.config_id, seed, val, test, wall, error)
+            for seed, val, test, error in outcomes]
 
 
 def run_trial(config: ExperimentConfig, dataset: Dataset, seed: int) -> TrialResult:
@@ -457,12 +450,16 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
                   task: str, task_class: str, budget: int, n_seeds: int,
                   master_seed: int, jobs: int = 1, total_units: int = 100,
                   washout: int = 200) -> tuple[ExperimentConfig, ResultsTable]:
-    """Uniform random search over the grid, selecting on seed-mean validation.
+    """Uniform random search over the grid, selecting on seed-mean validation:
+    highest accuracy on a classification dataset, lowest NRMSE otherwise.
 
     Failed trials score as infinitely bad; ties keep the earlier sample.
     """
     if budget < 1:
         raise ValueError("search budget must be >= 1")
+    higher = dataset.kind == "classification"
+    if higher != (task_class == "classification"):
+        raise ValueError(f"task class {task_class!r} contradicts the {dataset.kind} dataset")
     _require_scorable_split(dataset, washout)
     sampler = RngStream(master_seed).child("sampler")
     configs = [
@@ -478,10 +475,7 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
             per_config = list(pool.map(_run_config_in_worker, work))
     else:
         per_config = [run_config(config, dataset, seeds) for config, seeds in work]
-    trials = [trial for results in per_config for trial in results]
-
-    higher = task_class == "classification"
-    table = aggregate(trials)
+    table = aggregate([trial for results in per_config for trial in results])
 
     best_idx, best_score = None, None
     for row in table.rows:
@@ -558,52 +552,41 @@ def emit_reports(out_dir, table: ResultsTable | None = None, manifest: dict | No
                  eigen: dict | None = None) -> list[Path]:
     """Write search results and analysis dumps under out_dir.
 
-    spectra maps name -> (layer, bin, magnitude) rows; eigen maps
-    name -> (re, im, layer) rows; stability_reports maps name -> dict.
-    Returns the written paths.
+    spectra maps name -> per-layer magnitude spectra, written as
+    spectra/<name>.csv (layer, bin, magnitude) rows; eigen maps name ->
+    per-layer eigenvalues, written as eigen/<name>.csv (re, im, layer) rows
+    and eigen/<name>.json ({"layer_<l>": [[re, im], ...]}); layers count
+    from 1. stability_reports maps name -> dict. Returns the written paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
+    def write(path: Path, text: str) -> None:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+        written.append(path)
+
     if table is not None:
-        path = out / "results.csv"
-        path.write_text("\n".join(table.to_csv_lines()) + "\n")
-        written.append(path)
-        path = out / "results.md"
-        path.write_text("\n".join(table.to_markdown_lines()) + "\n")
-        written.append(path)
+        write(out / "results.csv", "\n".join(table.to_csv_lines()) + "\n")
+        write(out / "results.md", "\n".join(table.to_markdown_lines()) + "\n")
     if manifest is not None:
-        path = out / "manifest.json"
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
-        written.append(path)
-    if stability_reports:
-        sub = out / "stability"
-        sub.mkdir(exist_ok=True)
-        for name, report in stability_reports.items():
-            path = sub / f"{name}.json"
-            with open(path, "w") as fh:
-                json.dump(report, fh, indent=2)
-            written.append(path)
-    if spectra:
-        sub = out / "spectra"
-        sub.mkdir(exist_ok=True)
-        for name, rows in spectra.items():
-            path = sub / f"{name}.csv"
-            lines = ["layer,bin,magnitude"]
-            lines += [f"{l},{k},{m:.17g}" for l, k, m in rows]
-            path.write_text("\n".join(lines) + "\n")
-            written.append(path)
-    if eigen:
-        sub = out / "eigen"
-        sub.mkdir(exist_ok=True)
-        for name, rows in eigen.items():
-            path = sub / f"{name}.csv"
-            lines = ["re,im,layer"]
-            lines += [f"{re:.17g},{im:.17g},{l}" for re, im, l in rows]
-            path.write_text("\n".join(lines) + "\n")
-            written.append(path)
+        write(out / "manifest.json", json.dumps(manifest, indent=2, default=str))
+    for name, report in (stability_reports or {}).items():
+        write(out / "stability" / f"{name}.json", json.dumps(report, indent=2))
+    for name, per_layer in (spectra or {}).items():
+        lines = ["layer,bin,magnitude"]
+        lines += [f"{l},{k},{m:.17g}" for l, spec in enumerate(per_layer, start=1)
+                  for k, m in enumerate(spec)]
+        write(out / "spectra" / f"{name}.csv", "\n".join(lines) + "\n")
+    for name, per_layer in (eigen or {}).items():
+        lines = ["re,im,layer"]
+        lines += [f"{v.real:.17g},{v.imag:.17g},{l}" for l, eigs in enumerate(per_layer, start=1)
+                  for v in eigs]
+        write(out / "eigen" / f"{name}.csv", "\n".join(lines) + "\n")
+        write(out / "eigen" / f"{name}.json", json.dumps(
+            {f"layer_{l}": [[float(v.real), float(v.imag)] for v in eigs]
+             for l, eigs in enumerate(per_layer, start=1)}))
     return written
 
 

@@ -20,9 +20,6 @@ import numpy as np
 
 from .numerics import RngStream, spectral_radius, uniform_matrix
 
-# Fresh draws attempted when W_h comes out with zero spectral radius.
-_NILPOTENT_RETRIES = 3
-
 # Time steps run_states advances per input-drive product: _CHUNK for one
 # sequence, max(1, _CHUNK // B) for a batch of B sequences.
 _CHUNK = 256
@@ -178,24 +175,20 @@ def build_layer(config: LayerConfig, input_dim: int, rng: RngStream) -> Layer:
     Draw order is fixed (W_x, W_h, b, O) so a seed pins the full network.
     Input and bias weights are drawn in [-1, 1) and scaled, which keeps the
     stream consumption identical when a scaling is zero. A recurrent draw
-    with zero spectral radius (never seen in practice) is retried a few
-    times before failing.
+    with zero spectral radius (probability about 2**-53 even at one unit)
+    cannot be scaled to the configured radius and fails the build.
     """
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     n = config.hidden_size
     w_x = uniform_matrix(n, input_dim, -1.0, 1.0, rng) * config.input_scaling
 
-    w_h = None
-    for _ in range(1 + _NILPOTENT_RETRIES):
-        raw = uniform_matrix(n, n, -1.0, 1.0, rng)
-        rho = spectral_radius(raw)
-        if rho > 0.0:
-            w_h = raw * (config.spectral_radius / rho)
-            break
-    if w_h is None:
-        raise ValueError("recurrent matrix draw has zero spectral radius after retries")
-
+    raw = uniform_matrix(n, n, -1.0, 1.0, rng)
+    rho = spectral_radius(raw)
+    if rho == 0.0:
+        raise ValueError("recurrent matrix draw has zero spectral radius, so it cannot be "
+                         "scaled to the configured spectral radius")
+    w_h = raw * (config.spectral_radius / rho)
     b = rng.uniform(-1.0, 1.0, n) * config.bias_scaling
     o = build_residual(config.residual, n, rng)
     return Layer(w_x=w_x, w_h=w_h, b=b, o=o, alpha=config.alpha, beta=config.beta,

@@ -9,7 +9,7 @@ depends on the states of deeper layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,14 +36,7 @@ class StabilityReport:
     contractive: bool
 
     def to_dict(self) -> dict:
-        return {
-            "per_layer_rho": self.per_layer_rho,
-            "global_rho": self.global_rho,
-            "per_layer_c": self.per_layer_c,
-            "global_c": self.global_c,
-            "esp_necessary_ok": self.esp_necessary_ok,
-            "contractive": self.contractive,
-        }
+        return asdict(self)
 
 
 def _tanh_slope(layer: Layer, h_prev: np.ndarray, layer_input: np.ndarray) -> np.ndarray:
@@ -189,11 +182,3 @@ def stability_report(deep: DeepReservoir) -> StabilityReport:
         contractive=global_c < 1.0,
     )
 
-
-def eigenvalue_rows(per_layer: list[np.ndarray]) -> list[tuple[float, float, int]]:
-    """Flatten per-layer eigenvalues into (re, im, layer) rows for CSV dumps."""
-    rows = []
-    for l, eigs in enumerate(per_layer, start=1):
-        for lam in eigs:
-            rows.append((float(lam.real), float(lam.imag), l))
-    return rows

@@ -97,11 +97,7 @@ def gen_ctxor(t_steps: int, d: int, p: float, rng: RngStream) -> Dataset:
 def sinmem_targets(x: np.ndarray, d: int) -> np.ndarray:
     """y(t) = sin(pi * x(t-d)), zero-padded history."""
     x = np.asarray(x, dtype=float)
-    y = np.empty(len(x))
-    for t in range(len(x)):
-        past = x[t - d] if t - d >= 0 else 0.0
-        y[t] = np.sin(np.pi * past)
-    return y
+    return np.sin(np.pi * np.concatenate([np.zeros(d), x])[:len(x)])
 
 
 def gen_sinmem(t_steps: int, d: int, rng: RngStream) -> Dataset:

@@ -7,8 +7,8 @@ from deepreservoir.analysis import (
     band_split_bin,
     layerwise_spectra,
     multisine,
-    profile_rows,
 )
+from deepreservoir.harness import emit_reports
 from deepreservoir.numerics import RngStream, fft_magnitudes
 from deepreservoir.reservoir import LayerConfig, ResidualKind, build_deep_reservoir
 
@@ -152,11 +152,11 @@ def test_identity_kind_filters_high_band_with_depth():
     assert fracs[0] > fracs[1] > fracs[2]
 
 
-def test_profile_rows_layout():
+def test_profile_rows_layout(tmp_path):
     configs = [_config(n=5)]
     profile = layerwise_spectra(configs, multisine(40), trials=1, seed=0)
-    rows = profile_rows(profile)
+    emit_reports(tmp_path, spectra={"probe": profile.spectra})
+    rows = np.loadtxt(tmp_path / "spectra" / "probe.csv", delimiter=",", skiprows=1)
     assert len(rows) == 21  # 40 // 2 + 1 bins
     assert rows[0][0] == 1 and rows[0][1] == 0
-    mags = np.array([r[2] for r in rows])
-    assert mags.max() == 1.0
+    assert rows[:, 2].max() == 1.0

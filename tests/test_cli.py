@@ -121,6 +121,22 @@ def test_search_rejects_zero_length(tmp_path, capsys):
     assert err == {"error": "ValueError", "message": "task length must be >= 1, got 0"}
 
 
+@pytest.mark.parametrize("command", ["search", "run"])
+def test_zero_seeds_rejected(tmp_path, capsys, command):
+    cfg = ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="sinmem10",
+                           task_class="memory", total_units=10, tau=0.5, washout=50)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    args = {"search": ["--task", "sinmem10", "--model", "LeakyESN", "--budget", "1"],
+            "run": ["--config", str(cfg_path)]}[command]
+    rc = main([command, *args, "--seeds", "0", "--length", "600",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError",
+                   "message": "no seeds to run: a configuration needs at least one seed"}
+
+
 def test_cli_rejects_unknown_task(capsys):
     with pytest.raises(SystemExit):
         main(["generate-data", "--task", "not-a-task"])

@@ -314,6 +314,37 @@ def test_empty_test_split_rejected_before_any_trial(tmp_path, monkeypatch):
                       budget=2, n_seeds=1, master_seed=0)
 
 
+@pytest.mark.parametrize("empty", ["train", "val"])
+def test_empty_train_or_val_split_rejected_before_any_trial(empty, monkeypatch):
+    # a merged train/test pair has no val split until it is re-split; moving
+    # its train sequences to val leaves train empty instead
+    ds = merge_train_test(_toy_classification(32, 8, (12,)), _toy_classification(33, 4, (12,)))
+    assert len(ds.split.val) == 0
+    if empty == "train":
+        ds = dataclasses.replace(ds, split=Split(np.arange(0), ds.split.train, ds.split.test))
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
+                           task_class="classification", total_units=10, alpha=0.5,
+                           beta=0.5, washout=0, lam=0.1)
+    message = {"train": "empty train split: no samples to fit a readout on",
+               "val": r"empty val split.*re-split .* with tasks\.split\(dataset, fraction\)"}[empty]
+    with pytest.raises(ValueError, match=message):
+        run_trial(cfg, ds, seed=1)
+    monkeypatch.setattr(harness, "run_config", no_trial)
+    with pytest.raises(ValueError, match=message):
+        random_search(HyperGrid(), ModelClass.RES_ESN_I, ds, "toy", "classification",
+                      budget=2, n_seeds=1, master_seed=0)
+
+
+def test_run_config_rejects_no_seeds():
+    ds, _ = _tiny_task()
+    with pytest.raises(ValueError, match="no seeds to run"):
+        harness.run_config(_leaky_config(), ds, [])
+
+
 def test_non_finite_input_names_its_dataset_sequence():
     # lengths alternate, so sequence 17 is the ninth of the 30-step group
     ds = _toy_classification(39, 20, (20, 30))
@@ -445,7 +476,7 @@ def _fake_trials():
     return [
         TrialResult(0, 1, 0.5, 0.6, 0.0),
         TrialResult(0, 2, 0.7, 0.8, 0.0),
-        TrialResult(1, 1, float("nan"), float("nan"), 0.0, failed=True, error="boom"),
+        TrialResult(1, 1, float("nan"), float("nan"), 0.0, error="boom"),
         TrialResult(1, 2, 0.2, 0.3, 0.0),
     ]
 
@@ -502,7 +533,7 @@ def test_search_skips_failed_configs(monkeypatch):
     def fake_trial(config, dataset, seed):
         if config.config_id == 0:
             return TrialResult(config.config_id, seed, float("nan"), float("nan"), 0.0,
-                               failed=True, error="unstable")
+                               error="unstable")
         return TrialResult(config.config_id, seed, 1.0 + config.config_id, 0.0, 0.0)
 
     monkeypatch.setattr(harness, "run_config", _per_seed(fake_trial))
@@ -516,7 +547,7 @@ def test_search_skips_failed_configs(monkeypatch):
 def test_search_all_failed_raises(monkeypatch):
     def fake_trial(config, dataset, seed):
         return TrialResult(config.config_id, seed, float("nan"), float("nan"), 0.0,
-                           failed=True, error="unstable")
+                           error="unstable")
 
     monkeypatch.setattr(harness, "run_config", _per_seed(fake_trial))
     dataset, task_class = _tiny_task()
@@ -542,10 +573,26 @@ def test_classification_search_maximizes(monkeypatch):
         return TrialResult(config.config_id, seed, score, score, 0.0)
 
     monkeypatch.setattr(harness, "run_config", _per_seed(fake_trial))
-    dataset, _ = _tiny_task()
+    dataset = _search_dataset("classification")
     best, _ = random_search(HyperGrid(), ModelClass.RES_ESN_I, dataset, "toy",
                             "classification", budget=4, n_seeds=1, master_seed=0)
     assert best.config_id == 2
+
+
+@pytest.mark.parametrize("data_class,task_class", [("classification", "memory"),
+                                                   ("memory", "classification")])
+def test_search_rejects_task_class_that_contradicts_the_dataset(data_class, task_class,
+                                                                monkeypatch):
+    # which way is better follows the dataset: accuracy up, NRMSE down
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_config", no_trial)
+    dataset = _search_dataset(data_class)
+    with pytest.raises(ValueError, match=f"task class '{task_class}' contradicts the "
+                                         f"{dataset.kind} dataset"):
+        random_search(HyperGrid(), ModelClass.RES_ESN_I, dataset, "toy", task_class,
+                      budget=4, n_seeds=1, master_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -584,20 +631,22 @@ def test_manifest_contains_every_sampled_hyperparameter(tmp_path):
 
 
 def test_emit_analysis_artifacts(tmp_path):
+    import json
     written = emit_reports(
         tmp_path,
         stability_reports={"cfg0": {"global_rho": 0.9}},
-        spectra={"identity": [(1, 0, 1.0), (1, 1, 0.5)]},
-        eigen={"probe": [(0.1, -0.2, 1)]},
+        spectra={"identity": [np.array([1.0, 0.5]), np.array([0.25, 1.0])]},
+        eigen={"probe": [np.array([0.1 - 0.2j]), np.array([0.5 + 0j, -0.3 + 0j])]},
     )
     assert (tmp_path / "stability" / "cfg0.json").exists()
     spectra_csv = (tmp_path / "spectra" / "identity.csv").read_text().splitlines()
-    assert spectra_csv[0] == "layer,bin,magnitude"
+    assert spectra_csv == ["layer,bin,magnitude", "1,0,1", "1,1,0.5", "2,0,0.25", "2,1,1"]
     eigen_csv = (tmp_path / "eigen" / "probe.csv").read_text().splitlines()
-    assert eigen_csv[0] == "re,im,layer"
-    re, im, layer = eigen_csv[1].split(",")
-    assert float(re) == 0.1 and float(im) == -0.2 and layer == "1"
-    assert len(written) == 3
+    assert eigen_csv == ["re,im,layer", "0.10000000000000001,-0.20000000000000001,1",
+                         "0.5,0,2", "-0.29999999999999999,0,2"]
+    eigen_json = json.loads((tmp_path / "eigen" / "probe.json").read_text())
+    assert eigen_json == {"layer_1": [[0.1, -0.2]], "layer_2": [[0.5, 0.0], [-0.3, 0.0]]}
+    assert len(written) == 4
 
 
 # ---------------------------------------------------------------------------

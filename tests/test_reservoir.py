@@ -136,36 +136,23 @@ def test_build_layer_one_eigendecomposition_per_draw(monkeypatch):
     assert calls == [(10, 10)]
 
 
-def _zero_square_draws(monkeypatch, zero_draws):
-    """Make the first zero_draws square draws of build_layer all zeros."""
+def test_build_layer_rejects_zero_radius_draw(monkeypatch):
+    # every square draw comes out all zeros: the first W_h draw fails the
+    # build, with no redraw
     draws = []
     original = reservoir.uniform_matrix
 
-    def patched(rows, cols, lo, hi, rng):
+    def zero_square(rows, cols, lo, hi, rng):
         m = original(rows, cols, lo, hi, rng)
         if rows == cols:
             draws.append(m)
-            if len(draws) <= zero_draws:
-                return np.zeros_like(m)
+            return np.zeros_like(m)
         return m
 
-    monkeypatch.setattr(reservoir, "uniform_matrix", patched)
-    return draws
-
-
-def test_build_layer_retries_zero_radius_draw(monkeypatch):
-    draws = _zero_square_draws(monkeypatch, zero_draws=1)
-    layer = build_layer(_config(n=6, rho=0.8), 2, RngStream(3))
-    assert len(draws) == 2
-    assert spectral_radius(layer.w_h) == pytest.approx(0.8, abs=1e-10)
-    assert np.array_equal(layer.w_h, draws[1] * (0.8 / spectral_radius(draws[1])))
-
-
-def test_build_layer_rejects_zero_radius_draws_after_retries(monkeypatch):
-    draws = _zero_square_draws(monkeypatch, zero_draws=100)
+    monkeypatch.setattr(reservoir, "uniform_matrix", zero_square)
     with pytest.raises(ValueError, match="zero spectral radius"):
         build_layer(_config(n=6), 2, RngStream(3))
-    assert len(draws) == 1 + reservoir._NILPOTENT_RETRIES
+    assert len(draws) == 1
 
 
 def test_build_layer_deterministic():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deepreservoir.harness import emit_reports
 from deepreservoir.numerics import RngStream, operator_norm_2, spectral_radius
 from deepreservoir.reservoir import (
     DeepReservoir,
@@ -15,7 +16,6 @@ from deepreservoir.reservoir import (
 from deepreservoir.stability import (
     contraction_coefficients,
     eigenspectrum_report,
-    eigenvalue_rows,
     esp_convergence_test,
     global_jacobian,
     layer_block_jacobian,
@@ -315,12 +315,13 @@ def test_driven_unstable_first_layer_stabilizes_deeper():
     assert hits >= 7
 
 
-def test_eigenvalue_rows_layout():
+def test_eigenvalue_rows_layout(tmp_path):
     deep = build_deep_reservoir([_config(n=3), _config(n=3)], 1, RngStream(70))
     h, x = random_probe(deep, RngStream(71))
-    rows = eigenvalue_rows(eigenspectrum_report(deep, h, x))
+    emit_reports(tmp_path, eigen={"probe": eigenspectrum_report(deep, h, x)})
+    rows = np.loadtxt(tmp_path / "eigen" / "probe.csv", delimiter=",", skiprows=1)
     assert len(rows) == 6
-    assert {r[2] for r in rows} == {1, 2}
+    assert set(rows[:, 2]) == {1, 2}
 
 
 def test_stability_report_consistency():
