@@ -17,7 +17,6 @@ from .reservoir import (
     forward,
     readout_features,
     step,
-    step_layer,
 )
 from .stability import StabilityReport, stability_report
 
@@ -41,7 +40,6 @@ __all__ = [
     "forward",
     "readout_features",
     "step",
-    "step_layer",
     "StabilityReport",
     "stability_report",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, Spectrum
+from .numerics import RngStream
 from .reservoir import LayerConfig, build_deep_reservoir, forward
 
 # Angular frequencies (radians per step) of the probe signal.
@@ -80,13 +80,12 @@ def layerwise_spectra(configs: list[LayerConfig], signal: np.ndarray, trials: in
     return SpectralProfile(spectra=normalized, trials=trials, sample_count=kept)
 
 
-def band_energy_ratio(spectrum, split_bin: int) -> float:
-    """Fraction of spectral energy at or above split_bin.
+def band_energy_ratio(mags: np.ndarray, split_bin: int) -> float:
+    """Fraction of a magnitude spectrum's energy at or above split_bin.
 
-    Energy is the sum of squared magnitudes; accepts a Spectrum or a raw
-    magnitude array.
+    Energy is the sum of squared magnitudes.
     """
-    mags = spectrum.magnitudes if isinstance(spectrum, Spectrum) else np.asarray(spectrum, dtype=float)
+    mags = np.asarray(mags, dtype=float)
     if not 0 < split_bin < len(mags):
         raise ValueError(f"split_bin must be in (0, {len(mags)})")
     energy = mags * mags
@@ -96,10 +95,7 @@ def band_energy_ratio(spectrum, split_bin: int) -> float:
     return float(energy[split_bin:].sum()) / total
 
 
-def band_split_bin(t_steps: int, phi: float = 0.74) -> int:
-    """FFT bin of angular frequency phi for a length-t_steps window.
-
-    The default splits at the midpoint of the probe's frequency list.
-    """
-    return int(round(phi * t_steps / (2.0 * np.pi)))
-
+def band_split_bin(t_steps: int) -> int:
+    """FFT bin of angular frequency 0.74, the midpoint of the probe's
+    frequency list, for a length-t_steps window."""
+    return int(round(0.74 * t_steps / (2.0 * np.pi)))

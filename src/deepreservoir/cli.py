@@ -176,7 +176,7 @@ def _cmd_eigen(args) -> None:
 def _cmd_report(args) -> None:
     rows = harness.read_results_csv(args.results / "results.csv")
     table = harness.ResultsTable(rows=rows)
-    (args.results / "results.md").write_text("\n".join(table.to_markdown_lines()) + "\n")
+    harness.emit_reports(args.results, table=table)
     print(f"rewrote {args.results / 'results.md'} ({len(rows)} configs)")
 
 

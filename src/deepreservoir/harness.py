@@ -457,6 +457,8 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
     """
     if budget < 1:
         raise ValueError("search budget must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     higher = dataset.kind == "classification"
     if higher != (task_class == "classification"):
         raise ValueError(f"task class {task_class!r} contradicts the {dataset.kind} dataset")

@@ -113,13 +113,12 @@ def gen_sinmem(t_steps: int, d: int, rng: RngStream) -> Dataset:
 # forecasting tasks
 
 
-def _cyclic_flow_deriv(x: np.ndarray, forcing: float) -> np.ndarray:
-    # dx_i/dt = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F with cyclic indices
-    return (np.roll(x, -1) - np.roll(x, 2)) * np.roll(x, 1) - x + forcing
+def _cyclic_flow_deriv(x: np.ndarray) -> np.ndarray:
+    # dx_i/dt = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F with cyclic indices, F = 8
+    return (np.roll(x, -1) - np.roll(x, 2)) * np.roll(x, 1) - x + 8.0
 
 
-def lorenz96_trajectory(x0: np.ndarray, n_steps: int, dt: float,
-                        forcing: float = 8.0) -> np.ndarray:
+def lorenz96_trajectory(x0: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
     """Integrate the cyclic flow with classic fourth-order Runge-Kutta.
 
     Returns (n_steps + 1, dims) including the initial state.
@@ -128,10 +127,10 @@ def lorenz96_trajectory(x0: np.ndarray, n_steps: int, dt: float,
     out = np.empty((n_steps + 1, len(x)))
     out[0] = x
     for i in range(n_steps):
-        k1 = _cyclic_flow_deriv(x, forcing)
-        k2 = _cyclic_flow_deriv(x + 0.5 * dt * k1, forcing)
-        k3 = _cyclic_flow_deriv(x + 0.5 * dt * k2, forcing)
-        k4 = _cyclic_flow_deriv(x + dt * k3, forcing)
+        k1 = _cyclic_flow_deriv(x)
+        k2 = _cyclic_flow_deriv(x + 0.5 * dt * k1)
+        k3 = _cyclic_flow_deriv(x + 0.5 * dt * k2)
+        k4 = _cyclic_flow_deriv(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if np.max(np.abs(x)) > 1e6:
             raise GenerationError(f"chaotic flow diverged at step {i}")
@@ -139,23 +138,17 @@ def lorenz96_trajectory(x0: np.ndarray, n_steps: int, dt: float,
     return out
 
 
-def gen_lorenz96(t_steps: int, dims: int = 5, forcing: float = 8.0, dt: float = 0.05,
-                 horizon: int = 25, rng: RngStream | None = None,
-                 transient: int = 1000) -> Dataset:
+def gen_lorenz96(t_steps: int, horizon: int, rng: RngStream) -> Dataset:
     """Chaotic flow forecasting: input x(t), target x(t + horizon).
 
-    Starts from the constant equilibrium plus a small random perturbation
-    and discards a transient so the trajectory settles onto the attractor.
+    Five variables integrated with step 0.05. Starts from the constant
+    equilibrium plus a small random perturbation and discards a 1000-step
+    transient so the trajectory settles onto the attractor.
     """
-    if dims < 4:
-        raise ValueError("cyclic neighbor indices need dims >= 4")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if rng is None:
-        rng = RngStream(0)
-    x0 = np.full(dims, forcing) + rng.uniform(-0.5, 0.5, dims)
+    transient = 1000
+    x0 = np.full(5, 8.0) + rng.uniform(-0.5, 0.5, 5)
     total = transient + t_steps + horizon
-    traj = lorenz96_trajectory(x0, total, dt, forcing)[transient + 1:]
+    traj = lorenz96_trajectory(x0, total, 0.05)[transient + 1:]
     inputs = traj[:t_steps]
     targets = traj[horizon:horizon + t_steps]
     return Dataset(inputs=inputs, targets=targets, kind="regression")
@@ -188,10 +181,9 @@ def mackey_glass_series(n_units: int, delay: int = 17, dt: float = 0.1,
     return sampled[transient:transient + n_units]
 
 
-def gen_mackey_glass(t_steps: int, delay: int = 17, dt: float = 0.1,
-                     horizon: int = 1) -> Dataset:
+def gen_mackey_glass(t_steps: int, horizon: int) -> Dataset:
     """Forecast the oscillator horizon units ahead: input f(t), target f(t + h)."""
-    series = mackey_glass_series(t_steps + horizon, delay=delay, dt=dt)
+    series = mackey_glass_series(t_steps + horizon)
     return Dataset(inputs=series[:t_steps, None],
                    targets=series[horizon:horizon + t_steps, None],
                    kind="regression")

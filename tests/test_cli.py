@@ -99,10 +99,12 @@ def test_report_rebuilds_markdown(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     md_before = (tmp_path / "results.md").read_text()
+    csv_before = (tmp_path / "results.csv").read_bytes()
     (tmp_path / "results.md").unlink()
     rc = main(["report", "--results", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "results.md").read_text() == md_before
+    assert (tmp_path / "results.csv").read_bytes() == csv_before
 
 
 def test_failure_emits_machine_readable_error(tmp_path, capsys):
@@ -119,6 +121,16 @@ def test_search_rejects_zero_length(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {"error": "ValueError", "message": "task length must be >= 1, got 0"}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    rc = main(["search", "--task", "sinmem10", "--model", "LeakyESN", "--length", "300",
+               "--budget", "1", "--seeds", "1", "--washout", "20", "--jobs", jobs,
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"jobs must be >= 1, got {jobs}"}
 
 
 @pytest.mark.parametrize("command", ["search", "run"])

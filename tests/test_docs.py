@@ -1,3 +1,4 @@
+import importlib
 import re
 from pathlib import Path
 
@@ -17,11 +18,26 @@ def _code_block(section: str, lang: str) -> str:
     return re.search(rf"```{lang}\n(.*?)```", _section(section), flags=re.S).group(1)
 
 
+MODULES = sorted(p.stem for p in (ROOT / "src" / "deepreservoir").glob("*.py")
+                 if p.stem != "__init__")
+
+
 def test_readme_has_one_bullet_per_module():
     bullets = re.findall(r"^- `(\w+)` –", README, flags=re.M)
-    modules = [p.stem for p in (ROOT / "src" / "deepreservoir").glob("*.py")
-               if p.stem != "__init__"]
-    assert sorted(bullets) == sorted(modules)
+    assert sorted(bullets) == MODULES
+
+
+def test_readme_names_only_what_the_package_defines():
+    # every backticked identifier in the module bullets is a module, an
+    # attribute of one, or module.attribute
+    bullets = README.split("The package contains:\n", 1)[1].split("\n## ", 1)[0]
+    modules = {name: importlib.import_module(f"deepreservoir.{name}") for name in MODULES}
+    names = re.findall(r"`([A-Za-z_][\w.]*)`", bullets)
+    assert "run_states" in names
+    for name in names:
+        head, _, attr = name.rpartition(".")
+        owners = [modules[head]] if head else list(modules.values())
+        assert name in modules or any(hasattr(m, attr) for m in owners), name
 
 
 def test_readme_library_example_runs(capsys):

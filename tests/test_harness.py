@@ -595,6 +595,18 @@ def test_search_rejects_task_class_that_contradicts_the_dataset(data_class, task
                       budget=4, n_seeds=1, master_seed=0)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_search_rejects_fewer_than_one_job(jobs, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_config", no_trial)
+    dataset, task_class = _tiny_task()
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}$"):
+        random_search(HyperGrid(), ModelClass.LEAKY_ESN, dataset, "sinmem10",
+                      task_class, budget=2, n_seeds=1, master_seed=0, jobs=jobs)
+
+
 # ---------------------------------------------------------------------------
 # reports
 

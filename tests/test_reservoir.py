@@ -18,7 +18,6 @@ from deepreservoir.reservoir import (
     readout_features,
     run_states,
     step,
-    step_layer,
 )
 
 # ---------------------------------------------------------------------------
@@ -182,12 +181,16 @@ def test_layer_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# step_layer
+# step on a one-layer stack
+
+
+def _one_layer_step(layer, h_prev, x):
+    return step(DeepReservoir(layers=[layer]), [h_prev], x)[0]
 
 
 def test_step_zero_everything_stays_zero():
     layer = build_layer(_config(wb=0.0), 2, RngStream(3))
-    h = step_layer(layer, np.zeros(10), np.zeros(2))
+    h = _one_layer_step(layer, np.zeros(10), np.zeros(2))
     assert np.array_equal(h, np.zeros(10))
 
 
@@ -196,7 +199,7 @@ def test_step_alpha_zero_is_plain_esn():
     h_prev = RngStream(8).uniform(-1, 1, 10)
     x = RngStream(9).uniform(-1, 1, 2)
     expected = np.tanh(layer.w_h @ h_prev + layer.w_x @ x + layer.b)
-    assert np.max(np.abs(step_layer(layer, h_prev, x) - expected)) < 1e-15
+    assert np.max(np.abs(_one_layer_step(layer, h_prev, x) - expected)) < 1e-15
 
 
 def test_identity_kind_step_matches_leaky_step():
@@ -206,30 +209,32 @@ def test_identity_kind_step_matches_leaky_step():
     h_prev = RngStream(10).uniform(-1, 1, 10)
     x = RngStream(11).uniform(-1, 1, 2)
     expected = (1 - tau) * h_prev + tau * np.tanh(layer.w_h @ h_prev + layer.w_x @ x + layer.b)
-    assert np.max(np.abs(step_layer(layer, h_prev, x) - expected)) < 1e-12
+    assert np.max(np.abs(_one_layer_step(layer, h_prev, x) - expected)) < 1e-12
 
 
 def test_step_dimension_mismatch():
     layer = build_layer(_config(), 2, RngStream(3))
+    deep = DeepReservoir(layers=[layer])
     with pytest.raises(ValueError):
-        step_layer(layer, np.zeros(9), np.zeros(2))
+        step(deep, [np.zeros(9)], np.zeros(2))
     with pytest.raises(ValueError):
-        step_layer(layer, np.zeros(10), np.zeros(3))
+        step(deep, [np.zeros(10)], np.zeros(3))
     with pytest.raises(ValueError):
-        step_layer(layer, np.zeros((4, 10)), np.zeros((3, 2)))
+        step(deep, [np.zeros((4, 10))], np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        step_layer(layer, np.zeros((4, 10)), np.zeros(2))
+        step(deep, [np.zeros((4, 10))], np.zeros(2))
+    for count in (0, 2):
+        with pytest.raises(ValueError, match=f"h0 has {count} initial states, the stack has 1"):
+            step(deep, [np.zeros(10)] * count, np.zeros(2))
 
 
-@pytest.mark.parametrize("kind", list(ResidualKind))
-def test_batched_step_matches_row_by_row(kind):
-    layer = build_layer(_config(kind=kind), 2, RngStream(7))
-    h_prev = RngStream(12).uniform(-1, 1, (5, 10))
-    x = RngStream(13).uniform(-1, 1, (5, 2))
-    batched = step_layer(layer, h_prev, x)
-    assert batched.shape == (5, 10)
-    for b in range(5):
-        assert np.max(np.abs(batched[b] - step_layer(layer, h_prev[b], x[b]))) < 1e-12
+def test_step_names_non_finite_state_and_rejects_non_finite_input():
+    deep = build_deep_reservoir([_config(), _config(), _config()], 1, RngStream(59))
+    h = [np.zeros(10), np.full(10, np.nan), np.zeros(10)]
+    with pytest.raises(StateOverflowError, match=r"^non-finite state at step 0 in layer 2$"):
+        step(deep, h, np.zeros(1))
+    with pytest.raises(ValueError, match=r"^non-finite input at step 0$"):
+        step(deep, deep.zero_state(), np.array([np.nan]))
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_lorenz96_step_halving_fourth_order():
 
 
 def test_lorenz96_trajectory_stays_bounded():
-    ds = gen_lorenz96(10000, rng=RngStream(5))
+    ds = gen_lorenz96(10000, horizon=25, rng=RngStream(5))
     assert np.max(np.abs(ds.inputs)) < 20.0
 
 
@@ -138,11 +138,6 @@ def test_gen_lorenz96_horizon_alignment():
     assert ds.inputs.shape == (300, 5)
     # the target at t is the input trajectory 25 steps later
     assert np.array_equal(ds.targets[:-25], ds.inputs[25:])
-
-
-def test_gen_lorenz96_rejects_small_dims():
-    with pytest.raises(ValueError):
-        gen_lorenz96(100, dims=3, rng=RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +230,7 @@ def test_contiguous_split_memory_scheme():
 
 
 def test_contiguous_split_forecast_scheme():
-    ds = gen_lorenz96(1200, rng=RngStream(11))
+    ds = gen_lorenz96(1200, horizon=25, rng=RngStream(11))
     ds = split(ds, (400, 400, 400))
     assert len(ds.split.train) == len(ds.split.val) == len(ds.split.test) == 400
     assert ds.split.train[-1] < ds.split.val[0] <= ds.split.val[-1] < ds.split.test[0]
