@@ -2,7 +2,7 @@
 orthogonal temporal shortcuts, their stability analysis, and a benchmark
 harness."""
 
-from .numerics import RngStream, Spectrum
+from .numerics import RngStream
 from .readout import ReadoutModel, accuracy, fit, nrmse, predict
 from .reservoir import (
     DeepReservoir,
@@ -22,7 +22,6 @@ from .stability import StabilityReport, stability_report
 
 __all__ = [
     "RngStream",
-    "Spectrum",
     "ReadoutModel",
     "accuracy",
     "fit",

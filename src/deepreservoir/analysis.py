@@ -9,31 +9,13 @@ roughly unchanged, random orthogonal ones suppress the low end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import RngStream, fft_magnitudes
 from .reservoir import LayerConfig, build_deep_reservoir, forward
 
 # Angular frequencies (radians per step) of the probe signal.
 MULTISINE_FREQS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97, 1.08, 1.19, 1.27, 1.32)
-
-
-@dataclass
-class SpectralProfile:
-    """Per-layer magnitude spectra, averaged over units and trials.
-
-    Each layer's spectrum is normalized to a maximum of one.
-    """
-
-    spectra: list[np.ndarray]
-    trials: int
-    sample_count: int
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.spectra)
 
 
 def multisine(t_steps: int) -> np.ndarray:
@@ -45,39 +27,28 @@ def multisine(t_steps: int) -> np.ndarray:
 
 
 def layerwise_spectra(configs: list[LayerConfig], signal: np.ndarray, trials: int,
-                      seed: int, washout: int = 0) -> SpectralProfile:
+                      seed: int, washout: int = 0) -> np.ndarray:
     """Average per-layer state spectra over freshly built reservoirs.
 
     Each trial rebuilds the stack from a child stream of the seed, runs it
     over the signal, Fourier-transforms every hidden unit's post-washout
     sequence, and averages magnitudes over units; trials are then averaged
-    and each layer normalized to max 1.
+    and each layer normalized to max 1. Returns a (layers, bins) array.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     signal = np.asarray(signal, dtype=float)
     master = RngStream(seed)
-    sums: list[np.ndarray] | None = None
-    kept = len(signal) - washout
+    sums = 0.0
     for trial in range(trials):
         rng = master.child(("trial", trial))
         deep = build_deep_reservoir(configs, input_dim=1, rng=rng)
         traj = forward(deep, signal, washout=washout)
-        per_layer = []
-        for states in traj.states:
-            mags = np.abs(np.fft.rfft(states[washout:], axis=0))  # (bins, units)
-            per_layer.append(mags.mean(axis=1))
-        if sums is None:
-            sums = per_layer
-        else:
-            sums = [acc + cur for acc, cur in zip(sums, per_layer)]
-    assert sums is not None
-    normalized = []
-    for acc in sums:
-        mean = acc / trials
-        peak = mean.max()
-        normalized.append(mean / peak if peak > 0 else mean)
-    return SpectralProfile(spectra=normalized, trials=trials, sample_count=kept)
+        sums = sums + np.array([fft_magnitudes(s[washout:]).mean(axis=1) for s in traj.states])
+    mean = sums / trials
+    peak = mean.max(axis=1, keepdims=True)
+    peak[peak == 0] = 1.0  # an all-zero layer stays zero
+    return mean / peak
 
 
 def band_energy_ratio(mags: np.ndarray, split_bin: int) -> float:
@@ -98,4 +69,6 @@ def band_energy_ratio(mags: np.ndarray, split_bin: int) -> float:
 def band_split_bin(t_steps: int) -> int:
     """FFT bin of angular frequency 0.74, the midpoint of the probe's
     frequency list, for a length-t_steps window."""
+    if t_steps < 5:  # shorter windows round the split down to bin 0
+        raise ValueError(f"band split needs a length of at least 5 steps, got {t_steps}")
     return int(round(0.74 * t_steps / (2.0 * np.pi)))

@@ -107,12 +107,13 @@ def _cmd_generate_data(args) -> None:
 
 def _cmd_search(args) -> None:
     dataset, task_class = harness.make_task(args.task, args.seed, length=args.length)
-    tasks.save_dataset(dataset, args.out / "data" / args.task,
-                       meta={"generator": args.task, "seed": args.seed})
     best, table = harness.random_search(
         HyperGrid(), ModelClass(args.model), dataset, args.task, task_class,
         budget=args.budget, n_seeds=args.seeds, master_seed=args.seed,
         jobs=args.jobs, total_units=args.units, washout=args.washout)
+    # cached only now, so a refused search leaves no files behind
+    tasks.save_dataset(dataset, args.out / "data" / args.task,
+                       meta={"generator": args.task, "seed": args.seed})
     manifest = {
         "task": args.task,
         "model": args.model,
@@ -153,12 +154,12 @@ def _cmd_stability(args) -> None:
 
 
 def _cmd_spectra(args) -> None:
+    split_bin = analysis.band_split_bin(args.length)  # rejects a short window before any trial
     signal = analysis.multisine(args.length)
-    profile = analysis.layerwise_spectra(_layer_configs_from_args(args), signal,
+    spectra = analysis.layerwise_spectra(_layer_configs_from_args(args), signal,
                                          trials=args.trials, seed=args.seed)
-    harness.emit_reports(args.out, spectra={args.kind: profile.spectra})
-    split_bin = analysis.band_split_bin(profile.sample_count)
-    fractions = [analysis.band_energy_ratio(s, split_bin) for s in profile.spectra]
+    harness.emit_reports(args.out, spectra={args.kind: spectra})
+    fractions = [analysis.band_energy_ratio(s, split_bin) for s in spectra]
     print("high-band energy fraction per layer: "
           + ", ".join(f"{f:.3f}" for f in fractions))
 

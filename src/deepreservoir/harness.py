@@ -582,6 +582,10 @@ def emit_reports(out_dir, table: ResultsTable | None = None, manifest: dict | No
                   for k, m in enumerate(spec)]
         write(out / "spectra" / f"{name}.csv", "\n".join(lines) + "\n")
     for name, per_layer in (eigen or {}).items():
+        # descending modulus, then real, then imaginary part; the keys are
+        # rounded to 9 decimals so that a rounding-level change keeps the order
+        per_layer = [e[np.lexsort((e.imag, e.real, np.round(e.imag, 9), np.round(e.real, 9),
+                                   -np.round(np.abs(e), 9)))] for e in map(np.asarray, per_layer)]
         lines = ["re,im,layer"]
         lines += [f"{v.real:.17g},{v.imag:.17g},{l}" for l, eigs in enumerate(per_layer, start=1)
                   for v in eigs]

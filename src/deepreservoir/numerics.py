@@ -7,7 +7,6 @@ is a single-owner mutable draw sequence). All arrays are float64.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,21 +58,6 @@ class RngStream:
         """Uniform draw from a non-empty sequence of candidates."""
         idx = int(self._gen.integers(0, len(values)))
         return values[idx]
-
-
-@dataclass
-class Spectrum:
-    """One-sided magnitude spectrum of a real signal of length sample_count."""
-
-    magnitudes: np.ndarray
-    sample_count: int
-
-    def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=float)
-        if self.magnitudes.ndim != 1:
-            raise ValueError("spectrum magnitudes must be one-dimensional")
-        if len(self.magnitudes) != self.sample_count // 2 + 1:
-            raise ValueError("one-sided spectrum must have floor(T/2)+1 bins")
 
 
 def uniform_matrix(rows: int, cols: int, lo: float, hi: float, rng: RngStream) -> np.ndarray:
@@ -162,12 +146,12 @@ def ridge_solve(h: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     return wt.T
 
 
-def fft_magnitudes(signal: np.ndarray) -> Spectrum:
-    """One-sided magnitude spectrum |X_k|, k = 0 .. floor(T/2)."""
+def fft_magnitudes(signal: np.ndarray) -> np.ndarray:
+    """One-sided magnitude spectrum |X_k|, k = 0 .. floor(T/2), along axis 0
+    of a (T,) signal or of each column of a (T, channels) block."""
     signal = np.asarray(signal, dtype=float)
-    if signal.ndim != 1:
-        raise ValueError("fft_magnitudes expects a one-dimensional signal")
-    t = len(signal)
-    if t < 2:
+    if signal.ndim not in (1, 2):
+        raise ValueError(f"expected a (T,) signal or a (T, channels) block, got {signal.shape}")
+    if len(signal) < 2:
         raise ValueError("signal must have at least two samples")
-    return Spectrum(np.abs(np.fft.rfft(signal)), t)
+    return np.abs(np.fft.rfft(signal, axis=0))

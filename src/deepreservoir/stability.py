@@ -22,10 +22,11 @@ from .reservoir import DeepReservoir, Layer
 class StabilityReport:
     """Spectral radii and contraction coefficients of an instantiated stack.
 
-    esp_necessary_ok is the zero-state linearization test (global spectral
-    radius < 1, necessary for the echo state property); contractive is the
-    sufficient condition (global Lipschitz coefficient < 1). Configurations
-    can pass the first and fail the second.
+    A layer's radius is rho(alpha * O + beta * W_h), its Jacobian block at
+    zero state and input. esp_necessary_ok is the zero-state linearization
+    test (global spectral radius < 1, necessary for the echo state
+    property); contractive is the sufficient condition (global Lipschitz
+    coefficient < 1). Configurations can pass the first and fail the second.
     """
 
     per_layer_rho: list[float]
@@ -103,20 +104,6 @@ def global_jacobian(deep: DeepReservoir, global_state: list[np.ndarray],
     return jac
 
 
-def necessary_esp(deep: DeepReservoir) -> tuple[float, bool]:
-    """Global spectral radius at zero state and input, and whether it is < 1.
-
-    The radius is the max over layers of rho(alpha * O + beta * W_h); a value
-    below one is necessary (not sufficient) for the echo state property.
-    """
-    rho = max(per_layer_spectral_radii(deep))
-    return rho, rho < 1.0
-
-
-def per_layer_spectral_radii(deep: DeepReservoir) -> list[float]:
-    return [spectral_radius(_block(layer, np.ones(layer.size))) for layer in deep.layers]
-
-
 def contraction_coefficients(deep: DeepReservoir) -> tuple[list[float], float]:
     """Layer Lipschitz coefficients and their maximum.
 
@@ -170,7 +157,7 @@ def random_probe(deep: DeepReservoir, rng: RngStream) -> tuple[list[np.ndarray],
 
 
 def stability_report(deep: DeepReservoir) -> StabilityReport:
-    per_rho = per_layer_spectral_radii(deep)
+    per_rho = [spectral_radius(_block(layer, np.ones(layer.size))) for layer in deep.layers]
     per_c, global_c = contraction_coefficients(deep)
     global_rho = max(per_rho)
     return StabilityReport(

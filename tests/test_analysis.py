@@ -44,8 +44,7 @@ def test_multisine_zero_at_time_zero():
 
 def test_multisine_spectrum_peaks_at_component_bins():
     t = 1000
-    spec = fft_magnitudes(multisine(t))
-    mags = spec.magnitudes
+    mags = fft_magnitudes(multisine(t))
     floor = np.median(mags)
     windows = []
     for k in expected_bins(t):
@@ -61,7 +60,7 @@ def test_multisine_spectrum_peaks_at_component_bins():
 def test_band_ratio_low_frequency_tone():
     t = 256
     x = np.sin(2 * np.pi * 3 * np.arange(t) / t)
-    assert band_energy_ratio(fft_magnitudes(x).magnitudes, 50) < 1e-12
+    assert band_energy_ratio(fft_magnitudes(x), 50) < 1e-12
 
 
 def test_band_ratio_flat_spectrum_midpoint():
@@ -70,7 +69,7 @@ def test_band_ratio_flat_spectrum_midpoint():
 
 def test_band_ratio_probe_above_highest_component():
     t = 1000
-    spec = fft_magnitudes(multisine(t)).magnitudes
+    spec = fft_magnitudes(multisine(t))
     split = max(expected_bins(t)) + 10
     assert band_energy_ratio(spec, split) < 0.01
 
@@ -88,6 +87,15 @@ def test_band_split_bin_default():
     assert band_split_bin(1000) == int(round(0.74 * 1000 / (2 * np.pi)))
 
 
+def test_band_split_bin_rejects_windows_shorter_than_five_steps():
+    # five steps is the shortest window whose split lies inside its spectrum
+    assert band_split_bin(5) == 1
+    assert 0 < band_energy_ratio(np.ones(5 // 2 + 1), band_split_bin(5)) < 1
+    for t in (0, 1, 4):
+        with pytest.raises(ValueError, match=f"at least 5 steps, got {t}"):
+            band_split_bin(t)
+
+
 # ---------------------------------------------------------------------------
 # layer-wise spectra
 
@@ -97,17 +105,23 @@ def test_layerwise_spectra_deterministic_and_normalized():
     signal = multisine(300)
     a = layerwise_spectra(configs, signal, trials=2, seed=7)
     b = layerwise_spectra(configs, signal, trials=2, seed=7)
-    for sa, sb in zip(a.spectra, b.spectra):
-        assert np.array_equal(sa, sb)
+    assert np.array_equal(a, b)
+    assert len(a) == 2
+    assert a.shape[1] == 300 // 2 + 1
+    for sa in a:
         assert sa.max() == 1.0
         assert np.all(sa >= 0)
-    assert a.n_layers == 2
-    assert a.trials == 2
 
 
 def test_layerwise_spectra_rejects_zero_trials():
     with pytest.raises(ValueError):
         layerwise_spectra([_config()], multisine(100), trials=0, seed=0)
+
+
+def test_layerwise_spectra_names_a_washout_past_the_signal():
+    for washout in (100, 150):
+        with pytest.raises(ValueError, match=f"washout {washout} must be < sequence length 100"):
+            layerwise_spectra([_config()], multisine(100), trials=1, seed=0, washout=washout)
 
 
 def test_linear_reservoir_preserves_probe_frequencies():
@@ -117,7 +131,7 @@ def test_linear_reservoir_preserves_probe_frequencies():
     t, washout = 1200, 200
     signal = multisine(t)
     configs = [_config(rho=0.4, wx=1e-6)]
-    profile = layerwise_spectra(configs, signal, trials=1, seed=3, washout=washout)
+    spectra = layerwise_spectra(configs, signal, trials=1, seed=3, washout=washout)
 
     # independent simulation of the same linear system, rebuilt from the
     # same derived stream
@@ -132,11 +146,11 @@ def test_linear_reservoir_preserves_probe_frequencies():
     states = np.asarray(states)[washout:]
     mags = np.abs(np.fft.rfft(states, axis=0)).mean(axis=1)
     mags /= mags.max()
-    assert np.max(np.abs(profile.spectra[0] - mags)) < 1e-9
+    assert np.max(np.abs(spectra[0] - mags)) < 1e-9
 
     kept = t - washout
     bins = [int(round(phi * kept / (2 * np.pi))) for phi in MULTISINE_FREQS]
-    energy = profile.spectra[0] ** 2
+    energy = spectra[0] ** 2
     windowed = sum(np.sum(energy[k - 3:k + 4]) for k in bins)
     assert windowed > 0.85 * energy.sum()
 
@@ -146,16 +160,16 @@ def test_identity_kind_filters_high_band_with_depth():
     # as low-pass filters, stronger in deeper layers
     t = 1000
     configs = [_config(n=30, rho=1.0, alpha=0.9, beta=0.1) for _ in range(3)]
-    profile = layerwise_spectra(configs, multisine(t), trials=3, seed=11)
-    split = band_split_bin(profile.sample_count)
-    fracs = [band_energy_ratio(s, split) for s in profile.spectra]
+    spectra = layerwise_spectra(configs, multisine(t), trials=3, seed=11)
+    split = band_split_bin(t)
+    fracs = [band_energy_ratio(s, split) for s in spectra]
     assert fracs[0] > fracs[1] > fracs[2]
 
 
 def test_profile_rows_layout(tmp_path):
     configs = [_config(n=5)]
-    profile = layerwise_spectra(configs, multisine(40), trials=1, seed=0)
-    emit_reports(tmp_path, spectra={"probe": profile.spectra})
+    spectra = layerwise_spectra(configs, multisine(40), trials=1, seed=0)
+    emit_reports(tmp_path, spectra={"probe": spectra})
     rows = np.loadtxt(tmp_path / "spectra" / "probe.csv", delimiter=",", skiprows=1)
     assert len(rows) == 21  # 40 // 2 + 1 bins
     assert rows[0][0] == 1 and rows[0][1] == 0

@@ -133,6 +133,26 @@ def test_search_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
     assert err == {"error": "ValueError", "message": f"jobs must be >= 1, got {jobs}"}
 
 
+@pytest.mark.parametrize("refused", [["--budget", "0"], ["--jobs", "0"]])
+def test_refused_search_leaves_no_dataset_cache(tmp_path, capsys, refused):
+    rc = main(["search", "--task", "sinmem10", "--model", "LeakyESN", "--length", "300",
+               "--budget", "1", "--seeds", "1", "--washout", "20", *refused,
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+    assert not (tmp_path / "out" / "data").exists()
+
+
+def test_spectra_rejects_short_length_before_any_trial(tmp_path, capsys):
+    rc = main(["spectra", "--kind", "identity", "--layers", "2", "--units", "10",
+               "--trials", "1", "--length", "3", "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError",
+                   "message": "band split needs a length of at least 5 steps, got 3"}
+    assert not (tmp_path / "spectra").exists()
+
+
 @pytest.mark.parametrize("command", ["search", "run"])
 def test_zero_seeds_rejected(tmp_path, capsys, command):
     cfg = ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="sinmem10",

@@ -2,6 +2,7 @@ import importlib
 import re
 from pathlib import Path
 
+import deepreservoir
 from deepreservoir import cli
 from deepreservoir.harness import TASK_SPECS, ModelClass
 
@@ -38,6 +39,13 @@ def test_readme_names_only_what_the_package_defines():
         head, _, attr = name.rpartition(".")
         owners = [modules[head]] if head else list(modules.values())
         assert name in modules or any(hasattr(m, attr) for m in owners), name
+
+
+def test_package_exports_resolve_once():
+    names = deepreservoir.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(deepreservoir, name), name
 
 
 def test_readme_library_example_runs(capsys):

@@ -661,6 +661,32 @@ def test_emit_analysis_artifacts(tmp_path):
     assert len(written) == 4
 
 
+def test_eigen_files_do_not_depend_on_eigenvalue_order(tmp_path):
+    # conjugate pairs and +-r share a modulus, so the real and imaginary
+    # parts break the ties
+    rng = np.random.default_rng(3)
+    eigs = np.concatenate([np.linalg.eigvals(rng.uniform(-1, 1, (12, 12))),
+                           [0.5, -0.5, 0.5j, -0.5j, 0.0]])
+    texts = []
+    for run, order in enumerate([np.arange(len(eigs)), rng.permutation(len(eigs)),
+                                 rng.permutation(len(eigs))]):
+        out = tmp_path / str(run)
+        emit_reports(out, eigen={"probe": [eigs[order], eigs[order][::-1]]})
+        texts.append([(out / "eigen" / f"probe.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert texts[0] == texts[1] == texts[2]
+
+    rows = np.loadtxt(tmp_path / "0" / "eigen" / "probe.csv", delimiter=",", skiprows=1)
+    for layer in (1, 2):
+        re, im = rows[rows[:, 2] == layer][:, :2].T
+        assert np.all(np.diff(np.round(np.hypot(re, im), 9)) <= 0)
+        assert sorted(zip(re, im)) == sorted(zip(eigs.real, eigs.imag))
+
+    # a rounding-level change moves no value to another row
+    emit_reports(tmp_path / "nudged", eigen={"probe": [eigs * (1 + 1e-14)]})
+    nudged = np.loadtxt(tmp_path / "nudged" / "eigen" / "probe.csv", delimiter=",", skiprows=1)
+    assert np.max(np.abs(nudged[:, :2] - rows[rows[:, 2] == 1][:, :2])) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # task registry
 

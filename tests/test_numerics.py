@@ -3,7 +3,6 @@ import pytest
 
 from deepreservoir.numerics import (
     RngStream,
-    Spectrum,
     eigenvalues,
     fft_magnitudes,
     operator_norm_2,
@@ -247,54 +246,65 @@ def test_ridge_rejects_bad_shapes():
 
 
 def test_fft_constant_signal_all_energy_in_dc():
-    spec = fft_magnitudes(np.full(64, 3.0))
-    assert spec.magnitudes[0] == pytest.approx(64 * 3.0, abs=1e-9)
-    assert np.max(spec.magnitudes[1:]) < 1e-9
+    mags = fft_magnitudes(np.full(64, 3.0))
+    assert mags[0] == pytest.approx(64 * 3.0, abs=1e-9)
+    assert np.max(mags[1:]) < 1e-9
 
 
 def test_fft_pure_tone_peaks_at_its_bin():
     t = 128
     k = 11
     x = np.sin(2 * np.pi * k * np.arange(t) / t)
-    spec = fft_magnitudes(x)
-    assert np.argmax(spec.magnitudes) == k
+    assert np.argmax(fft_magnitudes(x)) == k
+
+
+def _assert_matches_naive_dft(x, label=None):
+    """A signal, and a (T, 3) block with it as one column, both against the
+    naive DFT; each block column must also equal its own 1-D call."""
+    assert np.max(np.abs(fft_magnitudes(x) - naive_dft_magnitudes(x))) < 1e-9, label
+    block = np.column_stack([x, RngStream(len(x) + 1).uniform(-1, 1, len(x)), x[::-1]])
+    mags = fft_magnitudes(block)
+    assert mags.shape == (len(x) // 2 + 1, 3), label
+    assert np.max(np.abs(mags - naive_dft_magnitudes(block))) < 1e-9, label
+    for c in range(3):
+        assert np.array_equal(mags[:, c], fft_magnitudes(block[:, c])), (label, c)
 
 
 def test_fft_matches_naive_dft():
-    x = RngStream(77).uniform(-1, 1, 256)
-    assert np.max(np.abs(fft_magnitudes(x).magnitudes - naive_dft_magnitudes(x))) < 1e-9
+    _assert_matches_naive_dft(RngStream(77).uniform(-1, 1, 256))
 
 
 def test_fft_matches_naive_dft_across_lengths():
     for t in (2, 3, 4, 5, 8, 13, 64, 100, 255, 256, 1024):
-        x = RngStream(t).uniform(-1, 1, t)
-        assert np.max(np.abs(fft_magnitudes(x).magnitudes - naive_dft_magnitudes(x))) < 1e-9, t
+        _assert_matches_naive_dft(RngStream(t).uniform(-1, 1, t), t)
 
 
 def test_fft_parseval_consistency():
     x = RngStream(5).uniform(-1, 1, 200)
-    spec = fft_magnitudes(x)
     # double every bin except DC (and Nyquist for even T) to recover the
     # two-sided energy
-    sq = spec.magnitudes ** 2
+    sq = fft_magnitudes(x) ** 2
     two_sided = sq[0] + 2 * sq[1:-1].sum() + sq[-1]
     assert two_sided / len(x) == pytest.approx(np.sum(x * x), rel=1e-12)
 
 
 def test_fft_bin_count_invariant():
     for t in (2, 3, 10, 11):
-        spec = fft_magnitudes(np.ones(t))
-        assert len(spec.magnitudes) == t // 2 + 1
+        assert fft_magnitudes(np.ones(t)).shape == (t // 2 + 1,)
+        assert fft_magnitudes(np.ones((t, 4))).shape == (t // 2 + 1, 4)
 
 
 def test_fft_rejects_short_signal():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least two samples"):
         fft_magnitudes(np.array([1.0]))
+    with pytest.raises(ValueError, match="at least two samples"):
+        fft_magnitudes(np.ones((1, 3)))
 
 
-def test_spectrum_validates_bin_count():
-    with pytest.raises(ValueError):
-        Spectrum(np.ones(4), 10)
+def test_fft_rejects_scalar_and_three_dimensional_input():
+    for bad in (np.float64(1.0), np.ones((8, 2, 2))):
+        with pytest.raises(ValueError, match=r"\(T, channels\) block"):
+            fft_magnitudes(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from deepreservoir.stability import (
     global_jacobian,
     layer_block_jacobian,
     max_metric,
-    necessary_esp,
     random_probe,
     stability_report,
 )
@@ -167,24 +166,24 @@ def test_global_jacobian_spectrum_is_union_of_diagonal_blocks():
 def test_necessary_esp_alpha_zero_reduces_to_recurrent_radius():
     configs = [_config(rho=0.9, alpha=0.0, beta=1.0) for _ in range(3)]
     deep = build_deep_reservoir(configs, 1, RngStream(15))
-    rho, ok = necessary_esp(deep)
-    assert rho == pytest.approx(0.9, abs=1e-8)
-    assert ok
+    report = stability_report(deep)
+    assert report.global_rho == pytest.approx(0.9, abs=1e-8)
+    assert report.esp_necessary_ok
 
 
 def test_necessary_esp_identity_alpha_one_is_marginal():
     layer = Layer(w_x=np.zeros((4, 1)), w_h=np.zeros((4, 4)), b=np.zeros(4),
                   o=np.eye(4), alpha=1.0, beta=0.5, kind=ResidualKind.IDENTITY)
-    rho, ok = necessary_esp(DeepReservoir(layers=[layer]))
-    assert rho == pytest.approx(1.0, abs=1e-12)
-    assert not ok
+    report = stability_report(DeepReservoir(layers=[layer]))
+    assert report.global_rho == pytest.approx(1.0, abs=1e-12)
+    assert not report.esp_necessary_ok
 
 
 def test_necessary_esp_matches_jacobian_radius_at_origin():
     for seed in range(3):
         configs = [_config(n=8, wb=0.0, rho=1.1, alpha=0.4, beta=0.8) for _ in range(3)]
         deep = build_deep_reservoir(configs, 1, RngStream(20 + seed))
-        rho, _ = necessary_esp(deep)
+        rho = stability_report(deep).global_rho
         jac = global_jacobian(deep, deep.zero_state(), np.zeros(1))
         assert rho == pytest.approx(spectral_radius(jac), abs=1e-8)
 
