@@ -97,11 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate_data(args) -> None:
-    dataset, task_class = harness.make_task(args.task, args.seed, length=args.length)
+def _save_task(args, dataset, task_class: str) -> None:
+    """Cache a make_task dataset under OUT/data/<task> with what regenerates it."""
     meta = {"generator": args.task, "seed": args.seed, "task_class": task_class,
             "length": args.length or harness.TASK_SPECS[args.task]["length"]}
     tasks.save_dataset(dataset, args.out / "data" / args.task, meta=meta)
+
+
+def _cmd_generate_data(args) -> None:
+    dataset, task_class = harness.make_task(args.task, args.seed, length=args.length)
+    _save_task(args, dataset, task_class)
     print(f"cached {args.task} under {args.out / 'data' / args.task}")
 
 
@@ -112,8 +117,7 @@ def _cmd_search(args) -> None:
         budget=args.budget, n_seeds=args.seeds, master_seed=args.seed,
         jobs=args.jobs, total_units=args.units, washout=args.washout)
     # cached only now, so a refused search leaves no files behind
-    tasks.save_dataset(dataset, args.out / "data" / args.task,
-                       meta={"generator": args.task, "seed": args.seed})
+    _save_task(args, dataset, task_class)
     manifest = {
         "task": args.task,
         "model": args.model,

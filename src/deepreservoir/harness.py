@@ -97,7 +97,7 @@ class HyperGrid:
         return self.lam_classification if task_class == "classification" else self.lam
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One fully specified model: class, architecture, and hyperparameters.
 
@@ -147,6 +147,9 @@ class ExperimentConfig:
             missing = [name for name in needed if getattr(self, name) is None]
             if missing:
                 raise ValueError(f"stacked config is missing {', '.join(missing)}")
+        if self.washout < 0:
+            raise ValueError(f"washout must be >= 0, got {self.washout}")
+        allocate_units(self.total_units, self.n_layers, self.concat)
 
     def _mixing(self, layer_index: int) -> tuple[float, float]:
         first = layer_index == 0
@@ -186,7 +189,7 @@ class ExperimentConfig:
         return ExperimentConfig(**d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialResult:
     config_id: int
     seed: int
@@ -200,7 +203,7 @@ class TrialResult:
         return self.error is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResultsTable:
     """Per-config seed aggregates; stds cover only the seeds that succeeded."""
 
@@ -355,8 +358,8 @@ def _score(config: ExperimentConfig, feats: np.ndarray, dataset: Dataset) -> tup
         return idx[idx >= washout]
 
     train = rows(sp.train)
-    model = fit(feats[train - washout], fit_targets[train], config.lam)
-    scores = [metric(predict(model, feats[idx - washout]), truth[idx])
+    w_o = fit(feats[train - washout], fit_targets[train], config.lam)
+    scores = [metric(predict(w_o, feats[idx - washout]), truth[idx])
               for idx in (rows(sp.val), rows(sp.test))]
     if not np.all(np.isfinite(scores)):
         raise StateOverflowError("non-finite metric")
@@ -494,27 +497,28 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
 # ---------------------------------------------------------------------------
 # benchmark task registry (paper-scale lengths and splits)
 
+# generate(t_steps, rng) makes a task's series; the mg oscillators ignore rng
 TASK_SPECS = {
-    "ctxor5": dict(family="ctxor", d=5, p=2.0, length=6000, split=(4000, 1000, 1000),
-                   task_class="memory"),
-    "ctxor10": dict(family="ctxor", d=10, p=2.0, length=6000, split=(4000, 1000, 1000),
-                    task_class="memory"),
-    "sinmem10": dict(family="sinmem", d=10, length=6000, split=(4000, 1000, 1000),
-                     task_class="memory"),
-    "sinmem20": dict(family="sinmem", d=20, length=6000, split=(4000, 1000, 1000),
-                     task_class="memory"),
-    "lz25": dict(family="lorenz96", horizon=25, length=1200, split=(400, 400, 400),
-                 task_class="forecasting"),
-    "lz50": dict(family="lorenz96", horizon=50, length=1200, split=(400, 400, 400),
-                 task_class="forecasting"),
-    "mg": dict(family="mackey_glass", horizon=1, length=10000, split=(5000, 2500, 2500),
-               task_class="forecasting"),
-    "mg84": dict(family="mackey_glass", horizon=84, length=10000, split=(5000, 2500, 2500),
-                 task_class="forecasting"),
-    "narma30": dict(family="narma", d=30, length=10000, split=(5000, 2500, 2500),
-                    task_class="forecasting"),
-    "narma60": dict(family="narma", d=60, length=10000, split=(5000, 2500, 2500),
-                    task_class="forecasting"),
+    "ctxor5": dict(generate=lambda t, rng: _tasks.gen_ctxor(t, 5, 2.0, rng),
+                   length=6000, split=(4000, 1000, 1000), task_class="memory"),
+    "ctxor10": dict(generate=lambda t, rng: _tasks.gen_ctxor(t, 10, 2.0, rng),
+                    length=6000, split=(4000, 1000, 1000), task_class="memory"),
+    "sinmem10": dict(generate=lambda t, rng: _tasks.gen_sinmem(t, 10, rng),
+                     length=6000, split=(4000, 1000, 1000), task_class="memory"),
+    "sinmem20": dict(generate=lambda t, rng: _tasks.gen_sinmem(t, 20, rng),
+                     length=6000, split=(4000, 1000, 1000), task_class="memory"),
+    "lz25": dict(generate=lambda t, rng: _tasks.gen_lorenz96(t, 25, rng),
+                 length=1200, split=(400, 400, 400), task_class="forecasting"),
+    "lz50": dict(generate=lambda t, rng: _tasks.gen_lorenz96(t, 50, rng),
+                 length=1200, split=(400, 400, 400), task_class="forecasting"),
+    "mg": dict(generate=lambda t, rng: _tasks.gen_mackey_glass(t, 1),
+               length=10000, split=(5000, 2500, 2500), task_class="forecasting"),
+    "mg84": dict(generate=lambda t, rng: _tasks.gen_mackey_glass(t, 84),
+                 length=10000, split=(5000, 2500, 2500), task_class="forecasting"),
+    "narma30": dict(generate=lambda t, rng: _tasks.gen_narma(t, 30, rng),
+                    length=10000, split=(5000, 2500, 2500), task_class="forecasting"),
+    "narma60": dict(generate=lambda t, rng: _tasks.gen_narma(t, 60, rng),
+                    length=10000, split=(5000, 2500, 2500), task_class="forecasting"),
 }
 
 
@@ -525,19 +529,8 @@ def make_task(name: str, seed: int, length: int | None = None) -> tuple[Dataset,
     if length is not None and length < 1:
         raise ValueError(f"task length must be >= 1, got {length}")
     spec = TASK_SPECS[name]
-    rng = RngStream(seed).child(("task", name))
     t_steps = spec["length"] if length is None else length
-    family = spec["family"]
-    if family == "ctxor":
-        ds = _tasks.gen_ctxor(t_steps, spec["d"], spec["p"], rng)
-    elif family == "sinmem":
-        ds = _tasks.gen_sinmem(t_steps, spec["d"], rng)
-    elif family == "lorenz96":
-        ds = _tasks.gen_lorenz96(t_steps, horizon=spec["horizon"], rng=rng)
-    elif family == "mackey_glass":
-        ds = _tasks.gen_mackey_glass(t_steps, horizon=spec["horizon"])
-    else:
-        ds = _tasks.gen_narma(t_steps, spec["d"], rng)
+    ds = spec["generate"](t_steps, RngStream(seed).child(("task", name)))
     if length is None:
         scheme = spec["split"]
     else:

@@ -2,43 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import ridge_solve
 
 
-@dataclass
-class ReadoutModel:
-    """Linear map y = W_o @ h fitted by ridge regression (no intercept)."""
-
-    w_o: np.ndarray
-
-    @property
-    def feature_dim(self) -> int:
-        return self.w_o.shape[1]
-
-
-def fit(features: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> ReadoutModel:
-    """Fit readout weights on (samples x features) against (samples x outputs)."""
+def fit(features: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> np.ndarray:
+    """Fit the readout y = W_o @ h by ridge regression (no intercept) on
+    (samples x features) against (samples x outputs); returns W_o, an
+    (outputs x features) array."""
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if targets.ndim == 1:
         targets = targets[:, None]
-    w_o = ridge_solve(features, targets, lam)
-    return ReadoutModel(w_o)
+    return ridge_solve(features, targets, lam)
 
 
-def predict(model: ReadoutModel, features: np.ndarray) -> np.ndarray:
+def predict(w_o: np.ndarray, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=float)
     if features.ndim == 1:
         features = features[None, :]
-    if features.shape[1] != model.feature_dim:
+    if features.shape[1] != w_o.shape[1]:
         raise ValueError(
-            f"feature width {features.shape[1]} does not match readout ({model.feature_dim})"
+            f"feature width {features.shape[1]} does not match readout ({w_o.shape[1]})"
         )
-    return features @ model.w_o.T
+    return features @ w_o.T
 
 
 def nrmse(pred: np.ndarray, target: np.ndarray, normalizer: str = "std") -> float:

@@ -94,7 +94,7 @@ class Layer:
         return self.w_x.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeepReservoir:
     """Ordered stack of reservoir layers plus the feature-assembly policy."""
 
@@ -124,7 +124,7 @@ class DeepReservoir:
         return [np.zeros(layer.size) for layer in self.layers]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateTrajectory:
     """Per-layer hidden states over time; washout marks the warm-up boundary."""
 
@@ -304,7 +304,9 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         raise ValueError(
             f"input dim {inputs.shape[-1]} does not match reservoir input {first.input_dim}"
         )
-    if not 0 <= washout < t_total:
+    if washout < 0:
+        raise ValueError(f"washout must be >= 0, got {washout}")
+    if washout >= t_total:
         raise ValueError(f"washout {washout} must be < sequence length {t_total}")
     _require_finite_inputs(inputs)
     for deep in reservoirs[1:]:
@@ -441,6 +443,4 @@ def readout_features(traj: StateTrajectory, concat: bool) -> np.ndarray:
     otherwise only the last layer contributes.
     """
     kept = traj.states if concat else traj.states[-1:]
-    if traj.washout >= traj.steps:
-        raise ValueError("washout consumes every step, no features left")
     return np.hstack([s[traj.washout:] for s in kept])

@@ -18,14 +18,15 @@ from .numerics import RngStream, eigenvalues, operator_norm_2, spectral_radius
 from .reservoir import DeepReservoir, Layer
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityReport:
     """Spectral radii and contraction coefficients of an instantiated stack.
 
     A layer's radius is rho(alpha * O + beta * W_h), its Jacobian block at
-    zero state and input. esp_necessary_ok is the zero-state linearization
-    test (global spectral radius < 1, necessary for the echo state
-    property); contractive is the sufficient condition (global Lipschitz
+    zero pre-activation: zero state and input with the bias ignored, as in
+    criterion 2's zero-bias stacks. esp_necessary_ok is the zero-state
+    linearization test (global spectral radius < 1, necessary for the echo
+    state property); contractive is the sufficient condition (global Lipschitz
     coefficient < 1). Configurations can pass the first and fail the second.
     """
 
@@ -40,36 +41,10 @@ class StabilityReport:
         return asdict(self)
 
 
-def _tanh_slope(layer: Layer, h_prev: np.ndarray, layer_input: np.ndarray) -> np.ndarray:
-    """tanh' at the layer's pre-activation W_h h_prev + W_x layer_input + b."""
-    t = np.tanh(layer.w_h @ h_prev + layer.w_x @ layer_input + layer.b)
-    return 1.0 - t * t
-
-
-def layer_block_jacobian(layer: Layer, h_prev: np.ndarray, layer_input: np.ndarray) -> np.ndarray:
-    """Derivative of one layer's update with respect to its own previous state.
-
-    Equals alpha * O + beta * diag(tanh'(z)) @ W_h with the pre-activation z
-    evaluated at (h_prev, layer_input); the bias is part of z.
-    """
-    h_prev = np.asarray(h_prev, dtype=float)
-    layer_input = np.asarray(layer_input, dtype=float)
-    if h_prev.shape != (layer.size,) or layer_input.shape != (layer.input_dim,):
-        raise ValueError("state or input dimension does not match the layer")
-    return _block(layer, _tanh_slope(layer, h_prev, layer_input))
-
-
 def _block(layer: Layer, d: np.ndarray) -> np.ndarray:
     """alpha * O + beta * diag(d) @ W_h, d the tanh slope at the layer's
     pre-activation."""
     return layer.alpha * layer.o + layer.beta * (d[:, None] * layer.w_h)
-
-
-def _layer_inputs(deep: DeepReservoir, global_state: list[np.ndarray],
-                  x: np.ndarray) -> list[np.ndarray]:
-    """Each layer's input during one global step from global_state: x for
-    the first layer, the previous layer's fresh state for the others."""
-    return [np.asarray(x, dtype=float)] + _res.step(deep, global_state, x)[:-1]
 
 
 def global_jacobian(deep: DeepReservoir, global_state: list[np.ndarray],
@@ -80,7 +55,8 @@ def global_jacobian(deep: DeepReservoir, global_state: list[np.ndarray],
     chains the input coupling beta_i * diag(tanh') @ W_x through every layer
     between j and i. Blocks above the diagonal are zero.
     """
-    inputs = _layer_inputs(deep, global_state, x)
+    # x drives the first layer, each layer's fresh state the next one
+    inputs = [np.asarray(x, dtype=float)] + _res.step(deep, global_state, x)[:-1]
 
     sizes = [layer.size for layer in deep.layers]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -90,7 +66,8 @@ def global_jacobian(deep: DeepReservoir, global_state: list[np.ndarray],
     diag_blocks: list[np.ndarray] = []
     input_couplings: list[np.ndarray] = []  # beta_l diag(tanh') W_x per layer
     for layer, h, inp in zip(deep.layers, global_state, inputs):
-        d = _tanh_slope(layer, h, inp)
+        t = np.tanh(layer.w_h @ h + layer.w_x @ inp + layer.b)
+        d = 1.0 - t * t
         diag_blocks.append(_block(layer, d))
         input_couplings.append(layer.beta * (d[:, None] * layer.w_x))
 
@@ -143,10 +120,11 @@ def esp_convergence_test(deep: DeepReservoir, input_seq: np.ndarray,
 
 def eigenspectrum_report(deep: DeepReservoir, h: list[np.ndarray],
                          x: np.ndarray) -> list[np.ndarray]:
-    """Eigenvalues of each layer's diagonal Jacobian block at (h, x)."""
-    inputs = _layer_inputs(deep, h, x)
-    return [eigenvalues(layer_block_jacobian(layer, h_l, inp))
-            for layer, h_l, inp in zip(deep.layers, h, inputs)]
+    """Eigenvalues of each layer's diagonal block of global_jacobian at (h, x)."""
+    jac = global_jacobian(deep, h, x)
+    ends = np.cumsum([layer.size for layer in deep.layers])
+    return [eigenvalues(jac[end - layer.size:end, end - layer.size:end])
+            for layer, end in zip(deep.layers, ends)]
 
 
 def random_probe(deep: DeepReservoir, rng: RngStream) -> tuple[list[np.ndarray], np.ndarray]:

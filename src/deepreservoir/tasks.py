@@ -22,7 +22,7 @@ class GenerationError(RuntimeError):
     """Raised when a series generator diverges or cannot produce data."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Split:
     """Disjoint index sets into a dataset's time steps or sequences."""
 
@@ -31,7 +31,7 @@ class Split:
     test: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Inputs and targets plus an optional train/val/test split.
 
@@ -342,8 +342,8 @@ def load_sequence_classification(path, fmt: str = "ucr-ts",
 
 
 def write_sequence_classification(path, sequences, labels, fmt: str = "ucr-ts") -> None:
-    """Write labelled sequences in the plain-text row format (test fixture
-    and cache helper; inverse of the loader for ucr-ts)."""
+    """Write labelled sequences in the plain-text row format (a test and
+    benchmark fixture; inverse of the loader for ucr-ts)."""
     path = Path(path)
     with open(path, "w") as fh:
         for seq, label in zip(sequences, labels):

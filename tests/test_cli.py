@@ -31,6 +31,18 @@ def test_search_emits_reports(tmp_path, capsys):
     assert "tau" in manifest["best_config"]
 
 
+def test_search_and_generate_data_write_one_dataset_manifest(tmp_path, capsys):
+    common = ["--task", "sinmem10", "--length", "600", "--seed", "1"]
+    assert main(["generate-data", *common, "--out", str(tmp_path / "gen")]) == 0
+    assert main(["search", *common, "--model", "LeakyESN", "--budget", "1", "--seeds", "1",
+                 "--units", "10", "--washout", "50", "--out", str(tmp_path / "search")]) == 0
+    manifests = [json.loads((tmp_path / out / "data" / "sinmem10" / "manifest.json").read_text())
+                 for out in ("gen", "search")]
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["meta"] == {"generator": "sinmem10", "seed": 1,
+                                    "task_class": "memory", "length": 600}
+
+
 def test_run_single_config(tmp_path, capsys):
     cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_C, task="sinmem10",
                            task_class="memory", total_units=15, alpha=0.9, beta=0.5,

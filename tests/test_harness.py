@@ -115,6 +115,36 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(model_class=ModelClass.RES_ESN_R, task="t", task_class="memory",
                          tau=0.5)
+    with pytest.raises(ValueError, match="washout must be >= 0, got -5$"):
+        _leaky_config(washout=-5)
+    with pytest.raises(ValueError, match="cannot split 3 units across 4 layers"):
+        ExperimentConfig(model_class=ModelClass.DEEP_RES_ESN_C, task="t", task_class="memory",
+                         total_units=3, n_layers=4, concat=True, alpha=0.5, beta=0.5,
+                         inter_rho=1.0, inter_omega_x=1.0, inter_omega_b=0.0,
+                         inter_alpha=0.5, inter_beta=0.5)
+
+
+def test_config_is_frozen():
+    cfg = _leaky_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_layers = 3
+    assert cfg.n_layers == 1
+
+
+@pytest.mark.parametrize("model, kwargs, message", [
+    (ModelClass.LEAKY_ESN, dict(washout=-5), "washout must be >= 0, got -5$"),
+    (ModelClass.DEEP_RES_ESN_C, dict(total_units=3, master_seed=3),
+     "cannot split 3 units across 5 layers"),
+], ids=["negative-washout", "unsplittable-budget"])
+def test_search_refuses_a_bad_config_before_any_trial(model, kwargs, message, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_config", no_trial)
+    dataset, task_class = _tiny_task()
+    with pytest.raises(ValueError, match=message):
+        random_search(HyperGrid(), model, dataset, "sinmem10", task_class,
+                      **{"budget": 4, "n_seeds": 1, "master_seed": 0, **kwargs})
 
 
 def test_layer_configs_leaky_mapping():
@@ -700,6 +730,19 @@ def test_make_task_registry_full_lengths():
     assert task_class == "forecasting"
     assert ds.inputs.shape == (1200, 5)
     assert len(ds.split.test) == 400
+
+
+@pytest.mark.parametrize("name", list(harness.TASK_SPECS))
+def test_make_task_every_registered_task(name):
+    ds, task_class = make_task(name, seed=3, length=300)
+    assert task_class == harness.TASK_SPECS[name]["task_class"]
+    assert ds.kind == "regression"
+    assert (len(ds.split.train), len(ds.split.val), len(ds.split.test)) == (200, 50, 50)
+    assert ds.inputs.shape[0] == len(ds.targets) == 300
+    assert ds.inputs.ndim == 2 and np.all(np.isfinite(ds.inputs))
+    again, _ = make_task(name, seed=3, length=300)
+    assert np.array_equal(ds.inputs, again.inputs)
+    assert np.array_equal(ds.targets, again.targets)
 
 
 def test_make_task_rejects_unknown():

@@ -460,6 +460,14 @@ def test_run_states_fails_only_the_non_finite_reservoir():
             assert np.array_equal(got, alone[0])
 
 
+def test_run_states_names_the_washout_bound_it_breaks():
+    deep = build_deep_reservoir([_config()], 1, RngStream(85))
+    with pytest.raises(ValueError, match="washout must be >= 0, got -5$"):
+        run_states([deep], np.zeros((10, 1)), washout=-5)
+    with pytest.raises(ValueError, match="washout 10 must be < sequence length 10$"):
+        run_states([deep], np.zeros((10, 1)), washout=10)
+
+
 def test_run_states_names_non_finite_input_of_a_batch():
     # the lowest sequence with a non-finite input is named, not the earliest step
     deep = build_deep_reservoir([_config()], 1, RngStream(85))

@@ -17,7 +17,6 @@ from deepreservoir.stability import (
     eigenspectrum_report,
     esp_convergence_test,
     global_jacobian,
-    layer_block_jacobian,
     max_metric,
     random_probe,
     stability_report,
@@ -89,13 +88,29 @@ def build_contractive_stack(target_c, n_layers=3, n=10, alpha=0.2, beta=0.5, see
     return deep
 
 
+def one_layer_jacobian(layer, h, x):
+    """global_jacobian of the stack that holds only this layer: its block."""
+    return global_jacobian(DeepReservoir(layers=[layer]), [h], x)
+
+
+def closed_form_blocks(deep, h, x):
+    """alpha * O + beta * diag(tanh'(z)) @ W_h per layer, z the layer's
+    pre-activation with its input taken from one step."""
+    inputs = [x] + step(deep, h, x)[:-1]
+    blocks = []
+    for layer, h_l, inp in zip(deep.layers, h, inputs):
+        t = np.tanh(layer.w_h @ h_l + layer.w_x @ inp + layer.b)
+        blocks.append(layer.alpha * layer.o + layer.beta * ((1.0 - t * t)[:, None] * layer.w_h))
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # layer block Jacobian
 
 
 def test_block_at_origin_is_alpha_o_plus_beta_wh():
     layer = build_layer(_config(wb=0.0), 2, RngStream(1))
-    block = layer_block_jacobian(layer, np.zeros(10), np.zeros(2))
+    block = one_layer_jacobian(layer, np.zeros(10), np.zeros(2))
     expected = layer.alpha * layer.o + layer.beta * layer.w_h
     assert np.array_equal(block, expected)
 
@@ -104,7 +119,7 @@ def test_block_saturates_to_alpha_o():
     layer = build_layer(_config(wb=0.0), 2, RngStream(2))
     # preactivations of magnitude ~20 kill the tanh derivative
     h = np.full(10, 20.0) @ np.linalg.inv(layer.w_h)
-    block = layer_block_jacobian(layer, h, np.zeros(2))
+    block = one_layer_jacobian(layer, h, np.zeros(2))
     assert np.linalg.norm(block - layer.alpha * layer.o) < 1e-6
 
 
@@ -115,7 +130,7 @@ def test_block_matches_finite_differences(kind):
     layer = build_layer(_config(kind=kind), 3, RngStream(3))
     h = RngStream(4).uniform(-1, 1, 10)
     x = RngStream(5).uniform(-1, 1, 3)
-    analytic = layer_block_jacobian(layer, h, x)
+    analytic = one_layer_jacobian(layer, h, x)
     fd = fd_layer_jacobian(layer, h, x)
     assert np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic)) < 1e-6
 
@@ -137,7 +152,7 @@ def test_global_jacobian_single_layer_equals_block():
     h = RngStream(9).uniform(-1, 1, 10)
     x = RngStream(10).uniform(-1, 1, 2)
     jac = global_jacobian(deep, [h], x)
-    block = layer_block_jacobian(deep.layers[0], h, x)
+    block, = closed_form_blocks(deep, [h], x)
     assert np.max(np.abs(jac - block)) < 1e-14
 
 
@@ -312,6 +327,26 @@ def test_driven_unstable_first_layer_stabilizes_deeper():
         if radii[0] > 1.0 and max(radii[1:]) < radii[0]:
             hits += 1
     assert hits >= 7
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_eigenspectrum_is_eigvals_of_global_jacobian_diagonal_blocks(kind):
+    # biased layers of unequal size at a random probe: each layer's values
+    # are bit-equal to eigvals of its diagonal block, and that block to the
+    # closed form at the layer's pre-activation
+    deep = build_deep_reservoir([_config(n=n, wb=0.5, kind=kind) for n in (7, 5, 9)], 2,
+                                RngStream(72))
+    h, x = random_probe(deep, RngStream(73))
+    jac = global_jacobian(deep, h, x)
+    eigs = eigenspectrum_report(deep, h, x)
+    assert len(eigs) == 3
+    start = 0
+    for layer, got, block in zip(deep.layers, eigs, closed_form_blocks(deep, h, x)):
+        end = start + layer.size
+        diag = np.ascontiguousarray(jac[start:end, start:end])
+        assert np.array_equal(diag, block)
+        assert np.array_equal(got, np.linalg.eigvals(diag))
+        start = end
 
 
 def test_eigenvalue_rows_layout(tmp_path):
