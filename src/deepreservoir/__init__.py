@@ -9,7 +9,6 @@ from .reservoir import (
     Layer,
     LayerConfig,
     ResidualKind,
-    StateTrajectory,
     allocate_units,
     build_deep_reservoir,
     build_layer,
@@ -30,7 +29,6 @@ __all__ = [
     "Layer",
     "LayerConfig",
     "ResidualKind",
-    "StateTrajectory",
     "allocate_units",
     "build_deep_reservoir",
     "build_layer",

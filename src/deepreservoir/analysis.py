@@ -38,13 +38,17 @@ def layerwise_spectra(configs: list[LayerConfig], signal: np.ndarray, trials: in
     if trials < 1:
         raise ValueError("need at least one trial")
     signal = np.asarray(signal, dtype=float)
+    if washout < 0:
+        raise ValueError(f"washout must be >= 0, got {washout}")
+    if washout >= len(signal):
+        raise ValueError(f"washout {washout} must be < sequence length {len(signal)}")
     master = RngStream(seed)
     sums = 0.0
     for trial in range(trials):
         rng = master.child(("trial", trial))
         deep = build_deep_reservoir(configs, input_dim=1, rng=rng)
-        traj = forward(deep, signal, washout=washout)
-        sums = sums + np.array([fft_magnitudes(s[washout:]).mean(axis=1) for s in traj.states])
+        states = forward(deep, signal)
+        sums = sums + np.array([fft_magnitudes(s[washout:]).mean(axis=1) for s in states])
     mean = sums / trials
     peak = mean.max(axis=1, keepdims=True)
     peak[peak == 0] = 1.0  # an all-zero layer stays zero

@@ -339,15 +339,14 @@ def _require_scorable_split(dataset: Dataset, washout: int) -> None:
 
 def _score(config: ExperimentConfig, feats: np.ndarray, dataset: Dataset) -> tuple[float, float]:
     """Fit one reservoir's readout on the train rows and score it on val and
-    test. Regression has a row per step from the washout on and scores NRMSE
-    normalized by the target's root mean square (the convention the published
-    per-task numbers follow, not the std); classification has a row per
-    sequence, fits one-hot targets and scores accuracy."""
+    test. Regression has a row per step from the washout on and scores NRMSE;
+    classification has a row per sequence, fits one-hot targets and scores
+    accuracy."""
     sp = dataset.split
     if dataset.kind == "regression":
         washout = config.washout
         truth = fit_targets = np.asarray(dataset.targets, dtype=float)
-        metric = lambda pred, y: nrmse(pred, y, normalizer="rms")
+        metric = nrmse
     else:
         washout = 0
         metric = accuracy
@@ -590,9 +589,16 @@ def emit_reports(out_dir, table: ResultsTable | None = None, manifest: dict | No
 
 
 def read_results_csv(path) -> list[dict]:
-    """Parse a results.csv back into aggregate rows (inverse of emission)."""
+    """Parse a results.csv back into aggregate rows (inverse of emission),
+    refusing a file without the header ResultsTable.to_csv_lines writes."""
     lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
+    expected = ResultsTable(rows=[]).to_csv_lines()[0].split(",")
+    if header != expected:
+        missing = ", ".join(c for c in expected if c not in header) or "none"
+        found = f"header {lines[0]!r}" if lines else "no header"
+        raise ValueError(f"{path} has {found}, expected {','.join(expected)} "
+                         f"(missing columns: {missing})")
     rows = []
     for line in lines[1:]:
         cells = line.split(",")

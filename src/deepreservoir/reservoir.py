@@ -124,29 +124,6 @@ class DeepReservoir:
         return [np.zeros(layer.size) for layer in self.layers]
 
 
-@dataclass(frozen=True)
-class StateTrajectory:
-    """Per-layer hidden states over time; washout marks the warm-up boundary."""
-
-    states: list[np.ndarray]  # one (T, N_h) array per layer
-    washout: int
-
-    def __post_init__(self):
-        lengths = {s.shape[0] for s in self.states}
-        if len(lengths) != 1:
-            raise ValueError("all layers must cover the same number of steps")
-        if not 0 <= self.washout < self.steps:
-            raise ValueError(f"washout {self.washout} must be < steps {self.steps}")
-
-    @property
-    def steps(self) -> int:
-        return self.states[0].shape[0]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.states)
-
-
 def build_residual(kind: ResidualKind, n: int, rng: RngStream | None = None) -> np.ndarray:
     """Orthogonal matrix for the temporal residual branch.
 
@@ -378,42 +355,34 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     return [out[:, s].reshape(shape) for s in range(count)], errors
 
 
-def _by_layer(deep: DeepReservoir, states: np.ndarray) -> list[np.ndarray]:
-    """Split side-by-side layer states (last axis) into one array per layer."""
-    return np.split(states, np.cumsum([layer.size for layer in deep.layers])[:-1], axis=-1)
-
-
-def forward(deep: DeepReservoir, inputs: np.ndarray, washout: int = 0,
-            h0: list[np.ndarray] | None = None) -> StateTrajectory:
-    """Run the stack over an input sequence.
+def forward(deep: DeepReservoir, inputs: np.ndarray,
+            h0: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """Run the stack over an input sequence and return every step's states,
+    one (T, N_l) array per layer.
 
     inputs is (T, N_x) or (T,) for scalar series; h0 holds one initial state
-    per layer (zeros by default). The trajectory keeps every step; washout
-    only marks the boundary later used by feature extraction. A non-finite
-    input is rejected on entry, naming its step; a non-finite state is
-    reported naming its first step and its layer.
+    per layer (zeros by default). A non-finite input is rejected on entry,
+    naming its step; a non-finite state is reported naming its first step
+    and its layer.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
     if inputs.ndim != 2 or len(inputs) == 0:
         raise ValueError(f"inputs have shape {inputs.shape}, expected non-empty (T, N_x) or (T,)")
-    if not 0 <= washout < len(inputs):
-        raise ValueError(f"washout {washout} must be < sequence length {len(inputs)}")
     if h0 is not None and len(h0) != deep.n_layers:
         raise ValueError(f"h0 has {len(h0)} initial states, the stack has {deep.n_layers} layers")
     states, errors = run_states([deep], inputs, h0=h0)
     if errors[0] is not None:
         raise StateOverflowError(errors[0])
-    return StateTrajectory(states=_by_layer(deep, states[0]), washout=washout)
+    return np.split(states[0], np.cumsum([layer.size for layer in deep.layers])[:-1], axis=1)
 
 
 def step(deep: DeepReservoir, h_prev: list[np.ndarray], x_t: np.ndarray) -> list[np.ndarray]:
     """One global update from h_prev under input x_t (N_x,): every layer
     advances once, layer l > 1 fed by the fresh state of layer l - 1. It is
     the one-step forward from h0 = h_prev, and fails as forward does."""
-    traj = forward(deep, np.asarray(x_t, dtype=float)[None], h0=h_prev)
-    return [states[0] for states in traj.states]
+    return [states[0] for states in forward(deep, np.asarray(x_t, dtype=float)[None], h0=h_prev)]
 
 
 def allocate_units(total: int, n_layers: int, concat: bool) -> list[int]:
@@ -437,10 +406,7 @@ def allocate_units(total: int, n_layers: int, concat: bool) -> list[int]:
     return sizes
 
 
-def readout_features(traj: StateTrajectory, concat: bool) -> np.ndarray:
-    """Assemble the feature matrix the readout consumes: one row per
-    post-washout time step. concat stacks all layers horizontally,
-    otherwise only the last layer contributes.
-    """
-    kept = traj.states if concat else traj.states[-1:]
-    return np.hstack([s[traj.washout:] for s in kept])
+def readout_features(states: list[np.ndarray], concat: bool) -> np.ndarray:
+    """forward's per-layer states side by side: all layers with concat,
+    otherwise only the last."""
+    return np.hstack(states if concat else states[-1:])

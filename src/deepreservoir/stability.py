@@ -112,8 +112,8 @@ def esp_convergence_test(deep: DeepReservoir, input_seq: np.ndarray,
     Entry 0 is the initial distance; entry t the distance after t steps. A
     contraction with coefficient C bounds the trace by C**t times entry 0.
     """
-    a = _res.forward(deep, input_seq, h0=h).states
-    b = _res.forward(deep, input_seq, h0=h_prime).states
+    a = _res.forward(deep, input_seq, h0=h)
+    b = _res.forward(deep, input_seq, h0=h_prime)
     per_layer = [np.linalg.norm(sa - sb, axis=1) for sa, sb in zip(a, b)]
     return np.concatenate([[max_metric(h, h_prime)], np.max(per_layer, axis=0)])
 

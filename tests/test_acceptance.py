@@ -100,7 +100,7 @@ def test_criterion_01_reductions():
         for x in inputs:
             h = (1 - tau) * h + tau * np.tanh(layer.w_h @ h + layer.w_x @ x + layer.b)
             reference.append(h.copy())
-        got = forward(deep, inputs).states[0]
+        got = forward(deep, inputs)[0]
         assert np.max(np.abs(got - np.asarray(reference))) < tol
 
         # one-layer stack against the shallow residual update
@@ -113,7 +113,7 @@ def test_criterion_01_reductions():
         for x in inputs:
             h = 0.6 * (layer.o @ h) + 0.7 * np.tanh(layer.w_h @ h + layer.w_x @ x + layer.b)
             reference.append(h.copy())
-        got = forward(deep, inputs).states[0]
+        got = forward(deep, inputs)[0]
         assert np.max(np.abs(got - np.asarray(reference))) < tol
 
         # identity-residual stack against stacked leaky updates
@@ -130,8 +130,7 @@ def test_criterion_01_reductions():
                     layer.w_h @ states[l] + layer.w_x @ drive + layer.b)
                 reference_layers[l].append(states[l].copy())
                 drive = states[l]
-        traj = forward(deep, inputs)
-        for got, want in zip(traj.states, reference_layers):
+        for got, want in zip(forward(deep, inputs), reference_layers):
             assert np.max(np.abs(got - np.asarray(want))) < tol
 
 

@@ -124,6 +124,11 @@ def test_layerwise_spectra_names_a_washout_past_the_signal():
             layerwise_spectra([_config()], multisine(100), trials=1, seed=0, washout=washout)
 
 
+def test_layerwise_spectra_rejects_a_negative_washout():
+    with pytest.raises(ValueError, match="washout must be >= 0, got -5$"):
+        layerwise_spectra([_config()], multisine(100), trials=1, seed=0, washout=-5)
+
+
 def test_linear_reservoir_preserves_probe_frequencies():
     # with a tiny input scaling and no bias tanh stays in its linear
     # regime, so the layer acts as a stable LTI system whose steady state

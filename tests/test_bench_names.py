@@ -1,11 +1,13 @@
-"""The traced benchmark wraps package functions by module and name; a
-deletion that removes one of them would break `bench/run.py --trace 1`."""
+"""The benchmark reads package functions by module and name; a deletion that
+removes one of them would break `bench/run.py`, traced or not."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def _stage_names() -> list[tuple[str, str]]:
@@ -27,3 +29,34 @@ def test_every_traced_stage_name_resolves():
     for module, attr in names:
         assert hasattr(importlib.import_module(f"deepreservoir.{module}"), attr), \
             f"bench/workloads.py wraps deepreservoir.{module}.{attr}, which is gone"
+
+
+def _package_reads(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of every name a bench script reads from deepreservoir:
+    each `from deepreservoir[.module] import name`, and each `module.name`
+    loaded from a package module the script imports that way."""
+    tree = ast.parse(path.read_text())
+    reads, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "deepreservoir":
+            for alias in node.names:
+                reads.append((node.module, alias.name))
+                submodule = f"{node.module}.{alias.name}"
+                if node.module == "deepreservoir" and importlib.util.find_spec(submodule):
+                    modules[alias.asname or alias.name] = submodule
+    reads += [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return reads
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    reads = {path.name: _package_reads(path) for path in sorted(BENCH.glob("*.py"))}
+    for want in [("deepreservoir.harness", "run_trial"), ("deepreservoir.harness", "make_task"),
+                 ("deepreservoir.tasks", "write_sequence_classification"),
+                 ("deepreservoir.reservoir", "build_deep_reservoir")]:
+        assert want in reads["workloads.py"]
+    for script, names in reads.items():
+        for module, attr in names:
+            assert hasattr(importlib.import_module(module), attr), \
+                f"bench/{script} reads {module}.{attr}, which is gone"

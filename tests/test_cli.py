@@ -119,6 +119,21 @@ def test_report_rebuilds_markdown(tmp_path):
     assert (tmp_path / "results.csv").read_bytes() == csv_before
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("", "config_id, val_mean, val_std, test_mean, test_std, n_seeds, n_failed"),
+    ("config_id,val_mean,test_mean,test_std,n_seeds,n_failed\n0,0.5,0.5,0,1,0\n", "val_std"),
+], ids=["empty", "missing-column"])
+def test_report_refuses_a_results_csv_without_its_header(tmp_path, capsys, text, missing):
+    (tmp_path / "results.csv").write_text(text)
+    rc = main(["report", "--results", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert str(tmp_path / "results.csv") in err["message"]
+    assert err["message"].endswith(f"(missing columns: {missing})")
+    assert not (tmp_path / "results.md").exists()
+
+
 def test_failure_emits_machine_readable_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     rc = main(["run", "--config", str(missing), "--out", str(tmp_path)])

@@ -263,7 +263,7 @@ def test_last_state_features_match_per_sequence_forward(kind, concat, monkeypatc
         assert errors == [None, None]
         for deep, deep_feats in zip(deeps, feats):
             for seq, row in zip(sequences, deep_feats):
-                states = forward(deep, seq).states
+                states = forward(deep, seq)
                 want = np.concatenate([s[-1] for s in (states if concat else states[-1:])])
                 assert row.shape == want.shape
                 assert np.max(np.abs(row - want)) < 1e-12

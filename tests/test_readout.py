@@ -73,18 +73,17 @@ def test_nrmse_zero_for_perfect_prediction():
     assert nrmse(target, target) == 0.0
 
 
-def test_nrmse_one_for_constant_mean_prediction():
+def test_nrmse_one_for_zero_prediction():
     target = RngStream(8).uniform(-1, 1, 100)
-    pred = np.full(100, target.mean())
-    assert nrmse(pred, target) == pytest.approx(1.0, abs=1e-12)
+    assert nrmse(np.zeros(100), target) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nrmse_matches_hand_computation():
     pred = np.array([0.1, 0.4, -0.2, 0.9, 1.1, -0.5, 0.3, 0.0, 0.7, -0.1])
     target = np.array([0.0, 0.5, -0.1, 1.0, 1.0, -0.4, 0.2, 0.1, 0.8, 0.0])
     rmse = np.sqrt(sum((p - t) ** 2 for p, t in zip(pred, target)) / 10.0)
-    std = np.sqrt(sum((t - target.mean()) ** 2 for t in target) / 10.0)
-    assert abs(nrmse(pred, target) - rmse / std) < 1e-12
+    rms = np.sqrt(sum(t * t for t in target) / 10.0)
+    assert abs(nrmse(pred, target) - rmse / rms) < 1e-12
 
 
 def test_nrmse_multivariate_averages_dimensions():
@@ -95,29 +94,24 @@ def test_nrmse_multivariate_averages_dimensions():
     assert nrmse(pred, target) == pytest.approx(np.mean(per_dim), abs=1e-12)
 
 
-def test_nrmse_affine_invariance():
+def test_nrmse_scale_invariance():
     rng = RngStream(10)
     pred = rng.uniform(-1, 1, 60)
     target = rng.uniform(-1, 1, 60)
-    assert nrmse(3.7 * pred + 2.0, 3.7 * target + 2.0) == pytest.approx(
-        nrmse(pred, target), rel=1e-12)
+    assert nrmse(3.7 * pred, 3.7 * target) == pytest.approx(nrmse(pred, target), rel=1e-12)
 
 
-def test_nrmse_constant_target_rejected():
-    with pytest.raises(ValueError):
-        nrmse(np.ones(10), np.ones(10))
+def test_nrmse_zero_target_rejected():
+    with pytest.raises(ValueError, match="target is all zero"):
+        nrmse(np.ones(10), np.zeros(10))
 
 
 def test_nrmse_rms_normalizer():
-    pred = np.array([0.0, 1.0, 2.0, 3.0])
-    target = np.array([0.0, 2.0, 2.0, 4.0])
+    # a constant non-zero target has RMS |c| and scores like any other
+    pred = np.array([-2.0, -1.0, -3.0, -2.5])
+    target = np.full(4, -2.0)
     rmse = np.sqrt(np.mean((pred - target) ** 2))
-    rms = np.sqrt(np.mean(target ** 2))
-    assert nrmse(pred, target, normalizer="rms") == pytest.approx(rmse / rms)
-    # coincides with the std convention exactly when the target has zero mean
-    centered = target - target.mean()
-    assert nrmse(pred - target.mean(), centered, normalizer="rms") == pytest.approx(
-        nrmse(pred - target.mean(), centered, normalizer="std"))
+    assert nrmse(pred, target) == pytest.approx(rmse / 2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from deepreservoir.reservoir import (
     LayerConfig,
     ResidualKind,
     StateOverflowError,
-    StateTrajectory,
     allocate_units,
     build_deep_reservoir,
     build_layer,
@@ -245,11 +244,11 @@ def test_single_layer_forward_matches_shallow_residual_loop():
     rng = RngStream(20)
     deep = build_deep_reservoir([_config()], 2, rng)
     inputs = RngStream(21).uniform(-1, 1, (100, 2))
-    traj = forward(deep, inputs)
+    states = forward(deep, inputs)
     layer = deep.layers[0]
     expected = residual_esn_trajectory(layer.w_h, layer.w_x, layer.b, layer.o,
                                        layer.alpha, layer.beta, inputs)
-    assert np.max(np.abs(traj.states[0] - expected)) < 1e-12
+    assert np.max(np.abs(states[0] - expected)) < 1e-12
 
 
 def test_identity_stack_matches_deep_leaky_loop():
@@ -258,10 +257,10 @@ def test_identity_stack_matches_deep_leaky_loop():
         configs = [_config(alpha=1 - t, beta=t, kind=ResidualKind.IDENTITY) for t in taus]
         deep = build_deep_reservoir(configs, 1, RngStream(seed))
         inputs = RngStream(1000 + seed).uniform(-1, 1, (100, 1))
-        traj = forward(deep, inputs)
+        states = forward(deep, inputs)
         ref = deep_leaky_trajectory(
             [(l.w_h, l.w_x, l.b) for l in deep.layers], taus, inputs)
-        for got, want in zip(traj.states, ref):
+        for got, want in zip(states, ref):
             assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -270,10 +269,10 @@ def test_single_layer_identity_matches_shallow_leaky_loop():
     deep = build_deep_reservoir(
         [_config(alpha=1 - tau, beta=tau, kind=ResidualKind.IDENTITY)], 1, RngStream(30))
     inputs = RngStream(31).uniform(-1, 1, (100, 1))
-    traj = forward(deep, inputs)
+    states = forward(deep, inputs)
     layer = deep.layers[0]
     expected = leaky_esn_trajectory(layer.w_h, layer.w_x, layer.b, tau, inputs)
-    assert np.max(np.abs(traj.states[0] - expected)) < 1e-12
+    assert np.max(np.abs(states[0] - expected)) < 1e-12
 
 
 def test_forward_decays_to_zero_without_input():
@@ -281,9 +280,9 @@ def test_forward_decays_to_zero_without_input():
     configs = [_config(rho=0.5, wb=0.0, alpha=0.3, beta=0.6) for _ in range(2)]
     deep = build_deep_reservoir(configs, 1, RngStream(40))
     h0 = [RngStream(41).child(l).uniform(-1, 1, 10) for l in range(2)]
-    traj = forward(deep, np.zeros((1000, 1)), h0=h0)
-    assert np.linalg.norm(traj.states[-1][-1]) < 1e-6
-    assert np.linalg.norm(traj.states[0][-1]) < 1e-6
+    states = forward(deep, np.zeros((1000, 1)), h0=h0)
+    assert np.linalg.norm(states[-1][-1]) < 1e-6
+    assert np.linalg.norm(states[0][-1]) < 1e-6
 
 
 def test_forward_deterministic():
@@ -291,14 +290,14 @@ def test_forward_deterministic():
     inputs = RngStream(51).uniform(-1, 1, (50, 1))
     a = forward(deep, inputs)
     b = forward(deep, inputs)
-    for x, y in zip(a.states, b.states):
+    for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
 
 def test_forward_bounded_states_alpha_zero():
     deep = build_deep_reservoir([_config(alpha=0.0, beta=1.0)], 1, RngStream(52))
-    traj = forward(deep, RngStream(53).uniform(-5, 5, (200, 1)))
-    assert np.all(np.abs(traj.states[0]) < 1.0)
+    states = forward(deep, RngStream(53).uniform(-5, 5, (200, 1)))
+    assert np.all(np.abs(states[0]) < 1.0)
 
 
 def test_state_sup_norm_recursion_bound():
@@ -307,8 +306,7 @@ def test_state_sup_norm_recursion_bound():
     deep = build_deep_reservoir([_config(alpha=0.8, beta=0.9)], 1, RngStream(58))
     layer = deep.layers[0]
     o_inf = np.max(np.sum(np.abs(layer.o), axis=1))
-    traj = forward(deep, RngStream(59).uniform(-3, 3, (300, 1)))
-    states = traj.states[0]
+    states = forward(deep, RngStream(59).uniform(-3, 3, (300, 1)))[0]
     prev = 0.0
     for t in range(300):
         now = np.max(np.abs(states[t]))
@@ -336,7 +334,7 @@ def test_forward_rejects_bad_inputs():
     with pytest.raises(ValueError):
         forward(deep, np.zeros((10, 3)))
     with pytest.raises(ValueError):
-        forward(deep, np.zeros((10, 1)), washout=10)
+        forward(deep, np.zeros((10, 2, 1)))
 
 
 def test_forward_names_non_finite_input_step():
@@ -372,12 +370,12 @@ def test_forward_rejects_wrong_number_of_initial_states():
 def test_step_chains_layers_like_forward():
     deep = build_deep_reservoir([_config(), _config()], 1, RngStream(56))
     inputs = RngStream(57).uniform(-1, 1, (20, 1))
-    traj = forward(deep, inputs)
+    states = forward(deep, inputs)
     h = deep.zero_state()
     for t in range(20):
         h = step(deep, h, inputs[t])
     for l in range(2):
-        assert np.max(np.abs(h[l] - traj.states[l][-1])) < 1e-12
+        assert np.max(np.abs(h[l] - states[l][-1])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -510,27 +508,37 @@ def test_allocate_units_rejects_insufficient_budget():
 
 def test_readout_features_single_layer_concat_irrelevant():
     deep = build_deep_reservoir([_config()], 1, RngStream(60))
-    traj = forward(deep, RngStream(61).uniform(-1, 1, (30, 1)), washout=5)
-    assert np.array_equal(readout_features(traj, True), readout_features(traj, False))
+    states = forward(deep, RngStream(61).uniform(-1, 1, (30, 1)))
+    assert np.array_equal(readout_features(states, True), readout_features(states, False))
 
 
 def test_readout_features_row_count():
     deep = build_deep_reservoir([_config()], 1, RngStream(62))
-    traj = forward(deep, RngStream(63).uniform(-1, 1, (1000, 1)), washout=200)
-    assert readout_features(traj, False).shape[0] == 800
+    states = forward(deep, RngStream(63).uniform(-1, 1, (1000, 1)))
+    assert readout_features(states, False).shape[0] == 1000
 
 
 def test_readout_features_concat_width_matches_unit_budget():
     sizes = allocate_units(100, 3, True)
     configs = [_config(n=s) for s in sizes]
     deep = build_deep_reservoir(configs, 1, RngStream(64), concat=True)
-    traj = forward(deep, RngStream(65).uniform(-1, 1, (50, 1)), washout=10)
-    assert readout_features(traj, True).shape == (40, 100)
+    states = forward(deep, RngStream(65).uniform(-1, 1, (50, 1)))
+    assert readout_features(states, True).shape == (50, 100)
 
 
-def test_trajectory_validates_washout():
-    with pytest.raises(ValueError):
-        StateTrajectory(states=[np.zeros((10, 3))], washout=10)
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_forward_and_readout_features_match_run_states(kind):
+    # the public path and the trial path give the same bits
+    configs = [_config(n=n, kind=kind) for n in (7, 5, 6)]
+    deep = build_deep_reservoir(configs, 2, RngStream(66))
+    inputs = RngStream(67).uniform(-1, 1, (300, 2))
+    states = forward(deep, inputs)
+    block = run_states([deep], inputs)[0][0]
+    assert np.array_equal(np.hstack(states), block)
+    assert [s.shape for s in states] == [(300, 7), (300, 5), (300, 6)]
+    for concat in (True, False):
+        want = run_states([deep], inputs, 40, concat)[0][0]
+        assert np.array_equal(readout_features(states, concat)[40:], want)
 
 
 # ---------------------------------------------------------------------------
