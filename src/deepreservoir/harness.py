@@ -15,7 +15,7 @@ import enum
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -101,8 +101,9 @@ class HyperGrid:
 class ExperimentConfig:
     """One fully specified model: class, architecture, and hyperparameters.
 
-    Inter values apply to layers beyond the first and are None for shallow
-    classes; tau is None for residual classes and alpha/beta for leaky ones.
+    Inter values apply to layers beyond the first. Of the fields that
+    default to None, a config sets exactly those optional_fields lists for
+    its class and depth.
     """
 
     model_class: ModelClass
@@ -134,45 +135,46 @@ class ExperimentConfig:
             raise ValueError("n_layers must be >= 1")
         if not self.model_class.is_deep and self.n_layers != 1:
             raise ValueError("shallow model classes force n_layers = 1")
-        if self.model_class.is_leaky:
-            if self.tau is None or self.alpha is not None or self.beta is not None:
-                raise ValueError("leaky classes take tau and no alpha/beta")
-        else:
-            if self.alpha is None or self.beta is None or self.tau is not None:
-                raise ValueError("residual classes take alpha/beta and no tau")
-        if self.n_layers > 1:
-            needed = ["inter_rho", "inter_omega_x", "inter_omega_b"]
-            needed += ["inter_tau"] if self.model_class.is_leaky else ["inter_alpha",
-                                                                       "inter_beta"]
-            missing = [name for name in needed if getattr(self, name) is None]
-            if missing:
-                raise ValueError(f"stacked config is missing {', '.join(missing)}")
+        read = self.optional_fields(self.model_class, self.n_layers)
+        missing = [name for name in read if getattr(self, name) is None]
+        unused = [f.name for f in fields(self) if f.default is None
+                  and f.name not in read and getattr(self, f.name) is not None]
+        if missing or unused:
+            raise ValueError(f"a {self.n_layers}-layer {self.model_class.value} config reads "
+                             f"{', '.join(read)}; missing: {', '.join(missing) or 'none'}; "
+                             f"set but unused: {', '.join(unused) or 'none'}")
         if self.washout < 0:
             raise ValueError(f"washout must be >= 0, got {self.washout}")
         allocate_units(self.total_units, self.n_layers, self.concat)
 
-    def _mixing(self, layer_index: int) -> tuple[float, float]:
-        first = layer_index == 0
-        if self.model_class.is_leaky:
-            tau = self.tau if first else self.inter_tau
-            return 1.0 - tau, tau
-        return (self.alpha if first else self.inter_alpha,
-                self.beta if first else self.inter_beta)
+    @staticmethod
+    def optional_fields(model_class: ModelClass, n_layers: int) -> list[str]:
+        """The optional fields a config of this class and depth reads, in
+        the order sample_config draws them: the first layer's mixing (tau
+        for a leaky class, alpha and beta otherwise), then past one layer
+        that mixing's inter twin and inter_rho, inter_omega_x, inter_omega_b."""
+        mixing = ["tau"] if model_class.is_leaky else ["alpha", "beta"]
+        if n_layers == 1:
+            return mixing
+        return mixing + [f"inter_{name}" for name in mixing + ["rho", "omega_x", "omega_b"]]
 
     def layer_configs(self) -> list[LayerConfig]:
-        sizes = allocate_units(self.total_units, self.n_layers, self.concat)
-        kind = self.model_class.residual_kind
+        read = self.optional_fields(self.model_class, self.n_layers)
         out = []
-        for l, size in enumerate(sizes):
-            alpha, beta = self._mixing(l)
+        for l, size in enumerate(allocate_units(self.total_units, self.n_layers, self.concat)):
+            # the first layer reads the plain fields, every later one their inter twins
+            hp = {name.removeprefix("inter_"): getattr(self, name)
+                  for name in ["rho", "omega_x", "omega_b"] + read
+                  if name.startswith("inter_") == (l > 0)}
+            alpha, beta = (1.0 - hp["tau"], hp["tau"]) if "tau" in hp else (hp["alpha"], hp["beta"])
             out.append(LayerConfig(
                 hidden_size=size,
-                spectral_radius=self.rho if l == 0 else self.inter_rho,
-                input_scaling=self.omega_x if l == 0 else self.inter_omega_x,
-                bias_scaling=self.omega_b if l == 0 else self.inter_omega_b,
+                spectral_radius=hp["rho"],
+                input_scaling=hp["omega_x"],
+                bias_scaling=hp["omega_b"],
                 alpha=alpha,
                 beta=beta,
-                residual=kind,
+                residual=self.model_class.residual_kind,
             ))
         return out
 
@@ -246,23 +248,12 @@ def sample_config(grid: HyperGrid, model_class: ModelClass, task: str, task_clas
         "washout": 0 if task_class == "classification" else washout,
         "config_id": config_id,
     }
-    if model_class.is_leaky:
-        taus = grid.mixing_values(grid.tau, task_class)
-        kwargs["tau"] = rng.choice(taus)
-        if deep:
-            kwargs["inter_tau"] = rng.choice(taus)
-    else:
-        alphas = grid.mixing_values(grid.alpha, task_class)
-        betas = grid.mixing_values(grid.beta, task_class)
-        kwargs["alpha"] = rng.choice(alphas)
-        kwargs["beta"] = rng.choice(betas)
-        if deep:
-            kwargs["inter_alpha"] = rng.choice(alphas)
-            kwargs["inter_beta"] = rng.choice(betas)
-    if deep:
-        kwargs["inter_rho"] = rng.choice(grid.rho)
-        kwargs["inter_omega_x"] = rng.choice(grid.omega_x)
-        kwargs["inter_omega_b"] = rng.choice(grid.omega_b)
+    for name in ExperimentConfig.optional_fields(model_class, kwargs["n_layers"]):
+        base = name.removeprefix("inter_")
+        values = getattr(grid, base)
+        if base in ("tau", "alpha", "beta"):
+            values = grid.mixing_values(values, task_class)
+        kwargs[name] = rng.choice(values)
     return ExperimentConfig(**kwargs)
 
 
@@ -481,16 +472,11 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
         per_config = [run_config(config, dataset, seeds) for config, seeds in work]
     table = aggregate([trial for results in per_config for trial in results])
 
-    best_idx, best_score = None, None
-    for row in table.rows:
-        score = row["val_mean"]
-        if not np.isfinite(score):
-            continue
-        if best_score is None or (score > best_score if higher else score < best_score):
-            best_idx, best_score = row["config_id"], score
-    if best_idx is None:
+    finite = [row for row in table.rows if np.isfinite(row["val_mean"])]
+    if not finite:
         raise RuntimeError("every sampled configuration failed")
-    return configs[best_idx], table
+    best = (max if higher else min)(finite, key=lambda row: row["val_mean"])
+    return configs[best["config_id"]], table
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +586,11 @@ def read_results_csv(path) -> list[dict]:
         raise ValueError(f"{path} has {found}, expected {','.join(expected)} "
                          f"(missing columns: {missing})")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path} line {number} has {len(cells)} cells, "
+                             f"the header has {len(header)}")
         row: dict = {}
         for key, cell in zip(header, cells):
             row[key] = int(cell) if key in ("config_id", "n_seeds", "n_failed") else float(cell)

@@ -48,9 +48,6 @@ class RngStream:
     def uniform(self, lo: float, hi: float, size) -> np.ndarray:
         return self._gen.uniform(lo, hi, size=size)
 
-    def integers(self, lo: int, hi: int, size=None):
-        return self._gen.integers(lo, hi, size=size)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

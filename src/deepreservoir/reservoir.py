@@ -64,9 +64,8 @@ class LayerConfig:
 class Layer:
     """One instantiated reservoir layer.
 
-    o is the dense residual matrix for every kind; the update applies the
-    identity and cyclic kinds without it, so for those o must be exactly
-    the matrix build_residual gives.
+    o is the dense residual matrix, and the layer's kind is read off it, so
+    the update and the stability analysis always see the same residual.
     """
 
     w_x: np.ndarray
@@ -75,15 +74,21 @@ class Layer:
     o: np.ndarray
     alpha: float
     beta: float
-    kind: ResidualKind
 
     def __post_init__(self):
         n = self.size
-        if self.kind is ResidualKind.RANDOM_ORTHOGONAL:
-            if self.o.shape != (n, n):
-                raise ValueError(f"residual matrix has shape {self.o.shape}, layer needs {(n, n)}")
-        elif not np.array_equal(self.o, build_residual(self.kind, n)):
-            raise ValueError(f"residual matrix is not the {self.kind.value} matrix of size {n}")
+        if self.o.shape != (n, n):
+            raise ValueError(f"residual matrix has shape {self.o.shape}, layer needs {(n, n)}")
+
+    @property
+    def kind(self) -> ResidualKind:
+        """Identity or cyclic when o is exactly that permutation (at one unit
+        the two coincide, and identity is reported), otherwise a general
+        orthogonal matrix."""
+        for kind in (ResidualKind.IDENTITY, ResidualKind.CYCLIC):
+            if np.array_equal(self.o, build_residual(kind, self.size)):
+                return kind
+        return ResidualKind.RANDOM_ORTHOGONAL
 
     @property
     def size(self) -> int:
@@ -119,9 +124,6 @@ class DeepReservoir:
     @property
     def input_dim(self) -> int:
         return self.layers[0].input_dim
-
-    def zero_state(self) -> list[np.ndarray]:
-        return [np.zeros(layer.size) for layer in self.layers]
 
 
 def build_residual(kind: ResidualKind, n: int, rng: RngStream | None = None) -> np.ndarray:
@@ -168,8 +170,7 @@ def build_layer(config: LayerConfig, input_dim: int, rng: RngStream) -> Layer:
     w_h = raw * (config.spectral_radius / rho)
     b = rng.uniform(-1.0, 1.0, n) * config.bias_scaling
     o = build_residual(config.residual, n, rng)
-    return Layer(w_x=w_x, w_h=w_h, b=b, o=o, alpha=config.alpha, beta=config.beta,
-                 kind=config.residual)
+    return Layer(w_x=w_x, w_h=w_h, b=b, o=o, alpha=config.alpha, beta=config.beta)
 
 
 def build_deep_reservoir(configs: list[LayerConfig], input_dim: int, rng: RngStream,
@@ -185,7 +186,7 @@ def build_deep_reservoir(configs: list[LayerConfig], input_dim: int, rng: RngStr
     return DeepReservoir(layers=layers, concat=concat)
 
 
-def _kernel(layer: Layer, w_h_t: np.ndarray, o_t: np.ndarray | None):
+def _kernel(layer: Layer, kind: ResidualKind, w_h_t: np.ndarray, o_t: np.ndarray | None):
     """The layer's state update in run_states, bound once so that its step
     loop looks up no attributes: update(h, row, z) overwrites row, which
     holds the input drive x @ W_x.T + b on entry, with
@@ -196,16 +197,16 @@ def _kernel(layer: Layer, w_h_t: np.ndarray, o_t: np.ndarray | None):
     or (B, N) with w_h_t = W_h.T and o_t = O.T, or (S, B, N) with the W_h.T
     and O.T of S same-shaped layers stacked as (S, N, N), each slice of
     states advanced with its own layer's weights. z is C-contiguous and
-    aliases neither h nor row. The identity and cyclic residuals are applied
-    as a copy and a shift, exactly what their permutation matrices give, so
-    only the random kind reads o_t.
+    aliases neither h nor row. kind picks the residual: the identity and
+    cyclic ones are applied as a copy and a shift, exactly what their
+    permutation matrices give, and any other kind as the product with o_t.
     """
     # on one (N,) state np.dot is about 1 us faster than np.matmul, up to a
     # fifth of the call; only matmul broadcasts over an (S, N, N) stack
     product = np.dot if w_h_t.ndim == 2 else np.matmul
     alpha, beta = layer.alpha, layer.beta
-    identity = layer.kind is ResidualKind.IDENTITY
-    cyclic = layer.kind is ResidualKind.CYCLIC
+    identity = kind is ResidualKind.IDENTITY
+    cyclic = kind is ResidualKind.CYCLIC
 
     def update(h, row, z):
         product(h, w_h_t, out=z)
@@ -252,8 +253,10 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     """Run S reservoirs of one shape over a shared input and keep the
     states a readout needs: the one time loop.
 
-    The reservoirs must agree in every layer's size, residual kind, alpha
-    and beta, as the seeds of one configuration do. inputs is (T, N_x), or
+    The reservoirs must agree in every layer's size, alpha and beta, as the
+    seeds of one configuration do. A layer position whose residual matrices
+    are not all one permutation (1-unit random layers draw o = [1] or [-1])
+    runs the product with each reservoir's own o. inputs is (T, N_x), or
     (T, B, N_x) for B equal-length sequences. Every reservoir starts from
     zero, or from h0 (one state per layer) when one runs without a batch.
 
@@ -287,8 +290,8 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         raise ValueError(f"washout {washout} must be < sequence length {t_total}")
     _require_finite_inputs(inputs)
     for deep in reservoirs[1:]:
-        if [(l.size, l.input_dim, l.kind, l.alpha, l.beta) for l in deep.layers] != \
-                [(l.size, l.input_dim, l.kind, l.alpha, l.beta) for l in first.layers]:
+        if [(l.size, l.input_dim, l.alpha, l.beta) for l in deep.layers] != \
+                [(l.size, l.input_dim, l.alpha, l.beta) for l in first.layers]:
             raise ValueError("reservoirs run together must share their layer shapes and mixing")
 
     count = len(reservoirs)
@@ -304,8 +307,9 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     plan, col = [], 0
     for l, same in enumerate(zip(*(deep.layers for deep in reservoirs))):
         layer = same[0]
-        o_t = (_transposed([m.o for m in same])
-               if layer.kind is ResidualKind.RANDOM_ORTHOGONAL else None)
+        kinds = {m.kind for m in same}
+        kind = kinds.pop() if len(kinds) == 1 else ResidualKind.RANDOM_ORTHOGONAL
+        o_t = _transposed([m.o for m in same]) if kind is ResidualKind.RANDOM_ORTHOGONAL else None
         if h0 is None:
             state = np.zeros(lead + (layer.size,))
         else:
@@ -318,7 +322,7 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         cols = None
         if l in kept:
             cols, col = slice(col, col + layer.size), col + layer.size
-        plan.append((_kernel(layer, _transposed([m.w_h for m in same]), o_t),
+        plan.append((_kernel(layer, kind, _transposed([m.w_h for m in same]), o_t),
                      [m.w_x.T for m in same], [m.b for m in same], buf, list(buf),
                      per_reservoir, state, np.empty(state.shape), cols))
 

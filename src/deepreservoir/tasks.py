@@ -48,6 +48,14 @@ class Dataset:
     def __post_init__(self):
         if self.kind not in ("regression", "classification"):
             raise ValueError(f"unknown dataset kind: {self.kind!r}")
+        samples = "steps" if self.kind == "regression" else "sequences"
+        if len(self.targets) != self.n_samples:
+            raise ValueError(f"{len(self.targets)} targets for {self.n_samples} {samples}")
+        for part in ("train", "val", "test") if self.split is not None else ():
+            idx = np.asarray(getattr(self.split, part))
+            if idx.size and (idx.min() < 0 or idx.max() >= self.n_samples):
+                raise ValueError(f"{part} split indices span [{idx.min()}, {idx.max()}], "
+                                 f"outside [0, {self.n_samples}) of the {samples}")
 
     @property
     def n_samples(self) -> int:

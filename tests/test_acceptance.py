@@ -154,7 +154,8 @@ def test_criterion_02_global_radius_matches_jacobian():
         ]
         deep = build_deep_reservoir(configs, 1, rng.child(("build", case)))
         formula = stability_report(deep).global_rho
-        assembled = spectral_radius(global_jacobian(deep, deep.zero_state(), np.zeros(1)))
+        zero = [np.zeros(layer.size) for layer in deep.layers]
+        assembled = spectral_radius(global_jacobian(deep, zero, np.zeros(1)))
         assert abs(formula - assembled) < 1e-8, case
 
 

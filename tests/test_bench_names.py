@@ -60,3 +60,28 @@ def test_every_package_name_the_benchmark_reads_resolves():
         for module, attr in names:
             assert hasattr(importlib.import_module(module), attr), \
                 f"bench/{script} reads {module}.{attr}, which is gone"
+
+
+def _attribute_reads(path: Path, names: set[str]) -> set[tuple[str, str]]:
+    """(name, attribute) of every attribute a bench script loads off a
+    variable of one of these names."""
+    return {(node.value.id, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id in names}
+
+
+def test_every_layer_and_config_attribute_the_benchmark_reads_exists():
+    from deepreservoir.harness import HyperGrid, ModelClass, sample_config
+    from deepreservoir.numerics import RngStream
+    from deepreservoir.reservoir import build_deep_reservoir
+
+    config = sample_config(HyperGrid(), ModelClass.DEEP_RES_ESN_R, "sinmem10", "memory",
+                           RngStream(0))
+    built = {"config": config,
+             "layer": build_deep_reservoir(config.layer_configs(), 1, RngStream(1)).layers[0]}
+    reads = set().union(*(_attribute_reads(path, set(built)) for path in BENCH.rglob("*.py")))
+    assert {("layer", "o"), ("layer", "kind"), ("layer", "w_h"), ("config", "layer_configs"),
+            ("config", "washout")} <= reads
+    for name, attr in sorted(reads):
+        assert hasattr(built[name], attr), \
+            f"bench/ reads {name}.{attr}, which a built {type(built[name]).__name__} lacks"

@@ -134,6 +134,20 @@ def test_report_refuses_a_results_csv_without_its_header(tmp_path, capsys, text,
     assert not (tmp_path / "results.md").exists()
 
 
+@pytest.mark.parametrize("row, cells", [("0,0.5,0.1", 3), ("1,0.5,0,0.5,0,1,0,9", 8)],
+                         ids=["short-row", "long-row"])
+def test_report_refuses_a_row_whose_cells_differ_from_the_header(tmp_path, capsys, row, cells):
+    header = "config_id,val_mean,val_std,test_mean,test_std,n_seeds,n_failed"
+    (tmp_path / "results.csv").write_text(f"{header}\n0,0.5,0,0.5,0,1,0\n{row}\n")
+    rc = main(["report", "--results", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError",
+                   "message": f"{tmp_path / 'results.csv'} line 3 has {cells} cells, "
+                              "the header has 7"}
+    assert not (tmp_path / "results.md").exists()
+
+
 def test_failure_emits_machine_readable_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     rc = main(["run", "--config", str(missing), "--out", str(tmp_path)])

@@ -124,6 +124,45 @@ def test_config_validation():
                          inter_alpha=0.5, inter_beta=0.5)
 
 
+OPTIONAL_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None]
+SHAPES = [(model, n) for model in ModelClass for n in ((1, 2) if model.is_deep else (1,))]
+
+
+@pytest.mark.parametrize("model, n_layers", SHAPES,
+                         ids=[f"{model.value}-{n}" for model, n in SHAPES])
+def test_config_refuses_each_optional_field_it_does_not_read(model, n_layers):
+    read = ExperimentConfig.optional_fields(model, n_layers)
+    values = {name: 0.5 for name in read}
+
+    def build(**fields):
+        return ExperimentConfig(model_class=model, task="t", task_class="memory",
+                                n_layers=n_layers, **fields)
+
+    assert build(**values).layer_configs()[-1].beta == 0.5
+    for name in OPTIONAL_FIELDS:
+        if name in read:
+            fields = {k: v for k, v in values.items() if k != name}
+            message = f"missing: {name}; set but unused: none$"
+        else:
+            fields = dict(values, **{name: 0.5})
+            message = f"missing: none; set but unused: {name}$"
+        with pytest.raises(ValueError, match=message):
+            build(**fields)
+
+
+def test_config_refusal_names_the_fields_its_class_reads():
+    with pytest.raises(ValueError, match=r"^a 1-layer LeakyESN config reads tau; missing: none; "
+                                         r"set but unused: inter_rho$"):
+        ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="t", task_class="memory",
+                         tau=0.5, inter_rho=7.0)
+    cfg = sample_config(HyperGrid(), ModelClass.DEEP_RES_ESN_C, "sinmem10", "memory",
+                        RngStream(3))
+    with pytest.raises(ValueError, match=r"reads alpha, beta, inter_alpha, inter_beta, "
+                                         r"inter_rho, inter_omega_x, inter_omega_b; "
+                                         r"missing: none; set but unused: inter_tau$"):
+        dataclasses.replace(cfg, inter_tau=0.5)
+
+
 def test_config_is_frozen():
     cfg = _leaky_config()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -131,7 +131,7 @@ def test_accuracy_one_hot_targets():
 def test_accuracy_random_binary_near_half():
     n = 10000
     logits = RngStream(11).uniform(0, 1, (n, 2))
-    labels = RngStream(12).integers(0, 2, n)
+    labels = RngStream(12).permutation(n) % 2
     assert accuracy(logits, labels) == pytest.approx(0.5, abs=0.02)
 
 
@@ -144,7 +144,7 @@ def test_accuracy_tie_breaks_to_lowest_class():
 def test_accuracy_bounds():
     for seed in range(5):
         logits = RngStream(seed).uniform(-1, 1, (50, 3))
-        labels = RngStream(seed + 100).integers(0, 3, 50)
+        labels = RngStream(seed + 100).permutation(50) % 3
         assert 0.0 <= accuracy(logits, labels) <= 1.0
 
 

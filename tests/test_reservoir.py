@@ -18,6 +18,7 @@ from deepreservoir.reservoir import (
     run_states,
     step,
 )
+from deepreservoir.stability import stability_report
 
 # ---------------------------------------------------------------------------
 # independent reference dynamics, written directly from the update equations
@@ -233,7 +234,7 @@ def test_step_names_non_finite_state_and_rejects_non_finite_input():
     with pytest.raises(StateOverflowError, match=r"^non-finite state at step 0 in layer 2$"):
         step(deep, h, np.zeros(1))
     with pytest.raises(ValueError, match=r"^non-finite input at step 0$"):
-        step(deep, deep.zero_state(), np.array([np.nan]))
+        step(deep, [np.zeros(10)] * 3, np.array([np.nan]))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +372,7 @@ def test_step_chains_layers_like_forward():
     deep = build_deep_reservoir([_config(), _config()], 1, RngStream(56))
     inputs = RngStream(57).uniform(-1, 1, (20, 1))
     states = forward(deep, inputs)
-    h = deep.zero_state()
+    h = [np.zeros(layer.size) for layer in deep.layers]
     for t in range(20):
         h = step(deep, h, inputs[t])
     for l in range(2):
@@ -553,17 +554,44 @@ def test_deep_reservoir_checks_layer_chaining():
 
 
 @pytest.mark.parametrize("kind", list(ResidualKind))
-def test_layer_rejects_residual_that_contradicts_kind(kind):
-    # forward applies identity and cyclic without o, stability reads o:
-    # a layer whose o disagrees with its kind would give two answers
+def test_layer_kind_is_read_off_its_residual(kind):
+    # forward and stability both read o, so no field can contradict it
     layer = build_layer(_config(n=6, kind=kind), 1, RngStream(74))
-    fields = dict(w_x=layer.w_x, w_h=layer.w_h, b=layer.b, alpha=layer.alpha,
-                  beta=layer.beta, kind=kind)
-    Layer(o=layer.o.copy(), **fields)
-    with pytest.raises(ValueError):
+    assert layer.kind is kind
+    fields = dict(w_x=layer.w_x, w_h=layer.w_h, b=layer.b, alpha=layer.alpha, beta=layer.beta)
+    assert Layer(o=layer.o.copy(), **fields).kind is kind
+    with pytest.raises(ValueError, match=r"residual matrix has shape \(7, 7\), layer needs"):
         Layer(o=np.eye(7), **fields)
-    if kind is not ResidualKind.RANDOM_ORTHOGONAL:
-        other = (ResidualKind.IDENTITY if kind is ResidualKind.CYCLIC
-                 else ResidualKind.CYCLIC)
-        with pytest.raises(ValueError):
-            Layer(o=build_residual(other, 6), **fields)
+    for other in ResidualKind:
+        layer.o = build_residual(other, 6, RngStream(75))
+        assert layer.kind is other
+
+
+def test_cyclic_layers_assigned_identity_run_and_report_identity():
+    configs = [_config(kind=ResidualKind.CYCLIC), _config(kind=ResidualKind.CYCLIC)]
+    deep = build_deep_reservoir(configs, 1, RngStream(76))
+    for layer in deep.layers:
+        layer.o = np.eye(layer.size)
+        assert layer.kind is ResidualKind.IDENTITY
+    configs = [_config(kind=ResidualKind.IDENTITY), _config(kind=ResidualKind.IDENTITY)]
+    want = build_deep_reservoir(configs, 1, RngStream(76))
+    inputs = RngStream(77).uniform(-1, 1, (50, 1))
+    for got, expected in zip(forward(deep, inputs), forward(want, inputs)):
+        assert np.array_equal(got, expected)
+    assert stability_report(deep) == stability_report(want)
+
+
+def test_run_states_one_unit_random_layers_stack_like_alone():
+    # a 1-unit random layer draws o = [1] (read as identity, applied as a
+    # copy alone) or o = [-1]; seeds of both signs run one product together
+    configs = [_config(n=1), _config(n=1)]
+    deeps = [build_deep_reservoir(configs, 1, RngStream(seed)) for seed in range(8)]
+    signs = {float(deep.layers[0].o[0, 0]) for deep in deeps}
+    assert signs == {1.0, -1.0}
+    inputs = RngStream(78).uniform(-1, 1, (40, 1))
+    together, errors = run_states(deeps, inputs, 3)
+    assert errors == [None] * 8
+    for deep, got in zip(deeps, together):
+        assert np.array_equal(got, run_states([deep], inputs, 3)[0][0])
+        want = np.hstack(deep_residual_trajectory(deep.layers, inputs))[3:]
+        assert np.max(np.abs(got - want)) < 1e-12

@@ -188,7 +188,7 @@ def test_necessary_esp_alpha_zero_reduces_to_recurrent_radius():
 
 def test_necessary_esp_identity_alpha_one_is_marginal():
     layer = Layer(w_x=np.zeros((4, 1)), w_h=np.zeros((4, 4)), b=np.zeros(4),
-                  o=np.eye(4), alpha=1.0, beta=0.5, kind=ResidualKind.IDENTITY)
+                  o=np.eye(4), alpha=1.0, beta=0.5)
     report = stability_report(DeepReservoir(layers=[layer]))
     assert report.global_rho == pytest.approx(1.0, abs=1e-12)
     assert not report.esp_necessary_ok
@@ -199,7 +199,7 @@ def test_necessary_esp_matches_jacobian_radius_at_origin():
         configs = [_config(n=8, wb=0.0, rho=1.1, alpha=0.4, beta=0.8) for _ in range(3)]
         deep = build_deep_reservoir(configs, 1, RngStream(20 + seed))
         rho = stability_report(deep).global_rho
-        jac = global_jacobian(deep, deep.zero_state(), np.zeros(1))
+        jac = global_jacobian(deep, [np.zeros(8)] * 3, np.zeros(1))
         assert rho == pytest.approx(spectral_radius(jac), abs=1e-8)
 
 
@@ -307,7 +307,7 @@ def test_convergence_below_threshold_within_500_steps():
 
 def test_eigenspectrum_at_origin_no_bias():
     deep = build_deep_reservoir([_config(wb=0.0), _config(wb=0.0)], 1, RngStream(50))
-    eigs = eigenspectrum_report(deep, deep.zero_state(), np.zeros(1))
+    eigs = eigenspectrum_report(deep, [np.zeros(10)] * 2, np.zeros(1))
     for layer, got in zip(deep.layers, eigs):
         expected = np.linalg.eigvals(layer.alpha * layer.o + layer.beta * layer.w_h)
         assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(expected))) < 1e-10

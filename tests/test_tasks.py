@@ -242,6 +242,26 @@ def test_contiguous_split_rejects_overrun():
         split(ds, (80, 20, 20))
 
 
+def test_dataset_refuses_targets_that_do_not_match_its_samples():
+    with pytest.raises(ValueError, match=r"^500 targets for 600 steps$"):
+        Dataset(inputs=np.zeros((600, 1)), targets=np.zeros((500, 1)), kind="regression")
+    with pytest.raises(ValueError, match=r"^2 targets for 3 sequences$"):
+        Dataset(inputs=[np.zeros((4, 1))] * 3, targets=np.array([0, 1]), kind="classification")
+
+
+@pytest.mark.parametrize("part, idx, span", [
+    ("test", np.arange(500, 601), r"\[500, 600\]"),
+    ("train", np.arange(-1, 400), r"\[-1, 399\]"),
+], ids=["test-past-end", "train-negative"])
+def test_dataset_refuses_split_indices_outside_its_samples(part, idx, span):
+    parts = dict(train=np.arange(400), val=np.arange(400, 500), test=np.arange(500, 600))
+    parts[part] = idx
+    with pytest.raises(ValueError, match=rf"^{part} split indices span {span}, "
+                                         r"outside \[0, 600\) of the steps$"):
+        Dataset(inputs=np.zeros((600, 1)), targets=np.zeros((600, 1)), kind="regression",
+                split=Split(**parts))
+
+
 def _toy_classification(n_per_class=50, t=20, classes=2, seed=13):
     rng = RngStream(seed)
     seqs, labels = [], []
