@@ -108,7 +108,6 @@ class ExperimentConfig:
 
     model_class: ModelClass
     task: str
-    task_class: str
     total_units: int = 100
     n_layers: int = 1
     concat: bool = False
@@ -187,7 +186,8 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         d = dict(d)
         d["model_class"] = ModelClass(d["model_class"])
-        d.pop("readout_mode", None)  # written by older versions, never read
+        for key in ("readout_mode", "task_class"):  # written by older versions, never read
+            d.pop(key, None)
         return ExperimentConfig(**d)
 
 
@@ -237,7 +237,6 @@ def sample_config(grid: HyperGrid, model_class: ModelClass, task: str, task_clas
     kwargs: dict = {
         "model_class": model_class,
         "task": task,
-        "task_class": task_class,
         "total_units": total_units,
         "n_layers": rng.choice(grid.n_layers) if deep else 1,
         "concat": bool(rng.choice(grid.concat)) if deep else False,
@@ -255,17 +254,6 @@ def sample_config(grid: HyperGrid, model_class: ModelClass, task: str, task_clas
             values = grid.mixing_values(values, task_class)
         kwargs[name] = rng.choice(values)
     return ExperimentConfig(**kwargs)
-
-
-def _as_steps(x) -> np.ndarray:
-    """A sequence as (T, N_x) rows; a (T,) series has N_x = 1."""
-    x = np.asarray(x, dtype=float)
-    return x.reshape(len(x), -1)
-
-
-def _input_dim(dataset: Dataset) -> int:
-    first = dataset.inputs if dataset.kind == "regression" else dataset.inputs[0]
-    return _as_steps(first).shape[1]
 
 
 # Sequences of one length run together in batches of at most this many,
@@ -289,14 +277,7 @@ def _last_state_features(deeps: list[DeepReservoir], sequences: list[np.ndarray]
     feats = [np.empty((len(sequences), sum(layer.size for layer in kept))) for _ in deeps]
     errors: list[str | None] = [None] * len(deeps)
     for idx in batches:
-        group = np.stack([_as_steps(sequences[i]) for i in idx], axis=1)  # (T, B, N_x)
-        # checked here, so that the message names the dataset's index and
-        # not the position inside the batch, as run_states would
-        finite = np.isfinite(group).all(axis=(0, 2))
-        if not finite.all():
-            i = idx[np.argmin(finite)]
-            t = np.argmin(np.isfinite(_as_steps(sequences[i])).all(axis=1))
-            raise ValueError(f"non-finite input at step {t} of sequence {i}")
+        group = np.stack([sequences[i] for i in idx], axis=1)  # (T, B, N_x)
         states, group_errors = run_states(deeps, group, len(group) - 1, concat)
         for s, (last, error) in enumerate(zip(states, group_errors)):
             feats[s][idx] = last[0]
@@ -334,14 +315,11 @@ def _score(config: ExperimentConfig, feats: np.ndarray, dataset: Dataset) -> tup
     classification has a row per sequence, fits one-hot targets and scores
     accuracy."""
     sp = dataset.split
+    truth = fit_targets = dataset.targets
     if dataset.kind == "regression":
-        washout = config.washout
-        truth = fit_targets = np.asarray(dataset.targets, dtype=float)
-        metric = nrmse
+        washout, metric = config.washout, nrmse
     else:
-        washout = 0
-        metric = accuracy
-        truth = np.asarray(dataset.targets, dtype=int)
+        washout, metric = 0, accuracy
         fit_targets = one_hot(truth, dataset.n_classes)
 
     def rows(idx: np.ndarray) -> np.ndarray:
@@ -369,11 +347,10 @@ def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> 
     if not seeds:
         raise ValueError("no seeds to run: a configuration needs at least one seed")
     started = time.perf_counter()
-    deeps = [build_deep_reservoir(config.layer_configs(), _input_dim(dataset), RngStream(seed),
+    deeps = [build_deep_reservoir(config.layer_configs(), dataset.input_dim, RngStream(seed),
                                   concat=config.concat) for seed in seeds]
     if dataset.kind == "regression":
-        feats, errors = run_states(deeps, _as_steps(dataset.inputs), config.washout,
-                                   config.concat)
+        feats, errors = run_states(deeps, dataset.inputs, config.washout, config.concat)
     else:
         feats, errors = _last_state_features(deeps, dataset.inputs, config.concat)
     outcomes = []
@@ -508,7 +485,9 @@ TASK_SPECS = {
 
 
 def make_task(name: str, seed: int, length: int | None = None) -> tuple[Dataset, str]:
-    """Generate a registered benchmark with its split attached."""
+    """Generate a registered benchmark with its split attached. Another
+    length scales the registered train and val parts, in whole steps, and
+    leaves the rest to test."""
     if name not in TASK_SPECS:
         raise ValueError(f"unknown task {name!r}; known: {sorted(TASK_SPECS)}")
     if length is not None and length < 1:
@@ -516,11 +495,8 @@ def make_task(name: str, seed: int, length: int | None = None) -> tuple[Dataset,
     spec = TASK_SPECS[name]
     t_steps = spec["length"] if length is None else length
     ds = spec["generate"](t_steps, RngStream(seed).child(("task", name)))
-    if length is None:
-        scheme = spec["split"]
-    else:
-        scheme = (int(t_steps * 2 / 3), int(t_steps / 6), t_steps - int(t_steps * 2 / 3) - int(t_steps / 6))
-    return _tasks.split(ds, scheme), spec["task_class"]
+    train, val, _ = (part * t_steps // spec["length"] for part in spec["split"])
+    return _tasks.split(ds, (train, val, t_steps - train - val)), spec["task_class"]
 
 
 # ---------------------------------------------------------------------------

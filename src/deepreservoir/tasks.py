@@ -31,13 +31,43 @@ class Split:
     test: np.ndarray
 
 
+def _rows(x, what: str, where: str = "") -> np.ndarray:
+    """x as a float (T, N) array, a (T,) series being one channel (a view
+    when x is already float), refusing a non-finite value by its step."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2:
+        raise ValueError(f"{what}{where} must be (T,) or (T, N), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        t = np.argmin(np.isfinite(x).all(axis=1))
+        raise ValueError(f"non-finite {what} at step {t}{where}")
+    return x
+
+
+def _labels(y) -> np.ndarray:
+    """y as int class codes, one per sequence, refusing any that is not a
+    whole number >= 0."""
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise ValueError(f"labels must be (n,), one per sequence, got shape {y.shape}")
+    bad = ~(np.isfinite(y) & (y >= 0) & (y == np.floor(y)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"label {y[i]} of sequence {i} is not a whole number >= 0")
+    return y.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Inputs and targets plus an optional train/val/test split.
 
-    Regression datasets hold one (T, N_x) input array with per-step targets;
-    classification datasets hold a list of (T_i, N_x) sequences with one
-    integer label each.
+    Regression datasets hold one float (T, N_x) input array with float
+    (T, N_y) targets; classification datasets hold a list of float (T_i, N_x)
+    sequences of one N_x with one int label each. A (T,) input or target is
+    read as one channel. Construction refuses a non-finite input or target,
+    sequences whose channel counts differ, and a label that is not a whole
+    number >= 0.
     """
 
     inputs: np.ndarray | list[np.ndarray]
@@ -46,9 +76,22 @@ class Dataset:
     split: Split | None = None
 
     def __post_init__(self):
-        if self.kind not in ("regression", "classification"):
+        if self.kind == "regression":
+            object.__setattr__(self, "inputs", _rows(self.inputs, "input"))
+            object.__setattr__(self, "targets", _rows(self.targets, "target"))
+            samples = "steps"
+        elif self.kind == "classification":
+            inputs = [_rows(seq, "input", f" of sequence {i}") for i, seq in enumerate(self.inputs)]
+            odd = next((i for i, seq in enumerate(inputs) if seq.shape[1] != inputs[0].shape[1]),
+                       None)
+            if odd is not None:
+                raise ValueError(f"sequence {odd} has {inputs[odd].shape[1]} input channels, "
+                                 f"sequence 0 has {inputs[0].shape[1]}")
+            object.__setattr__(self, "inputs", inputs)
+            object.__setattr__(self, "targets", _labels(self.targets))
+            samples = "sequences"
+        else:
             raise ValueError(f"unknown dataset kind: {self.kind!r}")
-        samples = "steps" if self.kind == "regression" else "sequences"
         if len(self.targets) != self.n_samples:
             raise ValueError(f"{len(self.targets)} targets for {self.n_samples} {samples}")
         for part in ("train", "val", "test") if self.split is not None else ():
@@ -60,6 +103,11 @@ class Dataset:
     @property
     def n_samples(self) -> int:
         return len(self.inputs)
+
+    @property
+    def input_dim(self) -> int:
+        """N_x, the input channels of every step."""
+        return (self.inputs if self.kind == "regression" else self.inputs[0]).shape[1]
 
     @property
     def n_classes(self) -> int:
@@ -267,7 +315,7 @@ def split(dataset: Dataset, scheme, seed: int = 0) -> Dataset:
         test = dataset.split.test if dataset.split is not None else np.arange(0)
         rng = RngStream(seed)
         train_idx, val_idx = [], []
-        labels = np.asarray(dataset.targets, dtype=int)
+        labels = dataset.targets
         for cls in np.unique(labels[base]):
             members = base[labels[base] == cls]
             order = rng.child(("stratify", int(cls))).permutation(len(members))
@@ -331,7 +379,7 @@ def load_sequence_classification(path, fmt: str = "ucr-ts",
             seq = values[1:]
             if fmt == "flattened-image-csv":
                 seq = seq / 255.0
-            sequences.append(seq[:, None])
+            sequences.append(seq)
 
     if not sequences:
         raise ValueError(f"{path}: no sequences found")
@@ -372,18 +420,17 @@ def save_dataset(dataset: Dataset, out_dir, meta: dict | None = None) -> None:
     """Cache a dataset as one uncompressed arrays.npz plus a JSON manifest.
 
     Regression inputs and targets are stored as they are. Classification
-    sequences are stored as one (sum T_i, N_x) array of (T_i, N_x) rows, a
-    (T,) sequence counting as one channel, with their lengths and labels.
+    sequences are stored as one (sum T_i, N_x) array, with their lengths and
+    labels.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if dataset.kind == "regression":
-        arrays = {"inputs": np.asarray(dataset.inputs), "targets": np.asarray(dataset.targets)}
+        arrays = {"inputs": dataset.inputs, "targets": dataset.targets}
     else:
-        rows = [np.asarray(seq, dtype=float).reshape(len(seq), -1) for seq in dataset.inputs]
-        arrays = {"sequences": np.concatenate(rows),
-                  "lengths": np.array([len(r) for r in rows], dtype=int),
-                  "targets": np.asarray(dataset.targets)}
+        arrays = {"sequences": np.concatenate(dataset.inputs),
+                  "lengths": np.array([len(seq) for seq in dataset.inputs], dtype=int),
+                  "targets": dataset.targets}
     if dataset.split is not None:
         for part in ("train", "val", "test"):
             arrays[f"split_{part}"] = np.asarray(getattr(dataset.split, part), dtype=int)

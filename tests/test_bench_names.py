@@ -71,17 +71,19 @@ def _attribute_reads(path: Path, names: set[str]) -> set[tuple[str, str]]:
 
 
 def test_every_layer_and_config_attribute_the_benchmark_reads_exists():
-    from deepreservoir.harness import HyperGrid, ModelClass, sample_config
+    from deepreservoir.harness import HyperGrid, ModelClass, make_task, sample_config
     from deepreservoir.numerics import RngStream
     from deepreservoir.reservoir import build_deep_reservoir
 
     config = sample_config(HyperGrid(), ModelClass.DEEP_RES_ESN_R, "sinmem10", "memory",
                            RngStream(0))
     built = {"config": config,
-             "layer": build_deep_reservoir(config.layer_configs(), 1, RngStream(1)).layers[0]}
+             "layer": build_deep_reservoir(config.layer_configs(), 1, RngStream(1)).layers[0],
+             "dataset": make_task("sinmem10", 0, length=300)[0]}
     reads = set().union(*(_attribute_reads(path, set(built)) for path in BENCH.rglob("*.py")))
     assert {("layer", "o"), ("layer", "kind"), ("layer", "w_h"), ("config", "layer_configs"),
-            ("config", "washout")} <= reads
+            ("config", "washout"), ("dataset", "inputs"), ("dataset", "targets"),
+            ("dataset", "kind"), ("dataset", "split")} <= reads
     for name, attr in sorted(reads):
         assert hasattr(built[name], attr), \
             f"bench/ reads {name}.{attr}, which a built {type(built[name]).__name__} lacks"

@@ -45,7 +45,7 @@ def test_search_and_generate_data_write_one_dataset_manifest(tmp_path, capsys):
 
 def test_run_single_config(tmp_path, capsys):
     cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_C, task="sinmem10",
-                           task_class="memory", total_units=15, alpha=0.9, beta=0.5,
+                           total_units=15, alpha=0.9, beta=0.5,
                            washout=50)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
@@ -57,11 +57,12 @@ def test_run_single_config(tmp_path, capsys):
 
 
 def test_run_loads_best_config_of_an_older_manifest(tmp_path, capsys):
-    # best_config as searches wrote it while configs still carried readout_mode
+    # best_config as searches wrote it while configs still carried
+    # readout_mode and task_class
     cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_C, task="sinmem10",
-                           task_class="memory", total_units=15, alpha=0.9, beta=0.5,
+                           total_units=15, alpha=0.9, beta=0.5,
                            washout=50)
-    old = dict(cfg.to_dict(), readout_mode="per-step")
+    old = dict(cfg.to_dict(), readout_mode="per-step", task_class="memory")
     cfg_path = tmp_path / "best.json"
     cfg_path.write_text(json.dumps(old))
     assert ExperimentConfig.from_dict(old) == cfg
@@ -197,7 +198,7 @@ def test_spectra_rejects_short_length_before_any_trial(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["search", "run"])
 def test_zero_seeds_rejected(tmp_path, capsys, command):
     cfg = ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="sinmem10",
-                           task_class="memory", total_units=10, tau=0.5, washout=50)
+                           total_units=10, tau=0.5, washout=50)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
     args = {"search": ["--task", "sinmem10", "--model", "LeakyESN", "--budget", "1"],

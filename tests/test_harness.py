@@ -38,7 +38,7 @@ def _tiny_task(name="sinmem10", seed=0, length=600):
 
 
 def _leaky_config(**overrides):
-    base = dict(model_class=ModelClass.LEAKY_ESN, task="sinmem10", task_class="memory",
+    base = dict(model_class=ModelClass.LEAKY_ESN, task="sinmem10",
                 total_units=30, tau=0.5, washout=50)
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -107,18 +107,18 @@ def test_config_roundtrips_through_dict():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="t", task_class="memory",
+        ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="t",
                          tau=0.5, n_layers=2)
     with pytest.raises(ValueError):
-        ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="t", task_class="memory",
+        ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="t",
                          alpha=0.5, beta=0.5)
     with pytest.raises(ValueError):
-        ExperimentConfig(model_class=ModelClass.RES_ESN_R, task="t", task_class="memory",
+        ExperimentConfig(model_class=ModelClass.RES_ESN_R, task="t",
                          tau=0.5)
     with pytest.raises(ValueError, match="washout must be >= 0, got -5$"):
         _leaky_config(washout=-5)
     with pytest.raises(ValueError, match="cannot split 3 units across 4 layers"):
-        ExperimentConfig(model_class=ModelClass.DEEP_RES_ESN_C, task="t", task_class="memory",
+        ExperimentConfig(model_class=ModelClass.DEEP_RES_ESN_C, task="t",
                          total_units=3, n_layers=4, concat=True, alpha=0.5, beta=0.5,
                          inter_rho=1.0, inter_omega_x=1.0, inter_omega_b=0.0,
                          inter_alpha=0.5, inter_beta=0.5)
@@ -135,7 +135,7 @@ def test_config_refuses_each_optional_field_it_does_not_read(model, n_layers):
     values = {name: 0.5 for name in read}
 
     def build(**fields):
-        return ExperimentConfig(model_class=model, task="t", task_class="memory",
+        return ExperimentConfig(model_class=model, task="t",
                                 n_layers=n_layers, **fields)
 
     assert build(**values).layer_configs()[-1].beta == 0.5
@@ -153,7 +153,7 @@ def test_config_refuses_each_optional_field_it_does_not_read(model, n_layers):
 def test_config_refusal_names_the_fields_its_class_reads():
     with pytest.raises(ValueError, match=r"^a 1-layer LeakyESN config reads tau; missing: none; "
                                          r"set but unused: inter_rho$"):
-        ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="t", task_class="memory",
+        ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="t",
                          tau=0.5, inter_rho=7.0)
     cfg = sample_config(HyperGrid(), ModelClass.DEEP_RES_ESN_C, "sinmem10", "memory",
                         RngStream(3))
@@ -187,7 +187,7 @@ def test_search_refuses_a_bad_config_before_any_trial(model, kwargs, message, mo
 
 
 def test_layer_configs_leaky_mapping():
-    cfg = ExperimentConfig(model_class=ModelClass.DEEP_ESN, task="t", task_class="memory",
+    cfg = ExperimentConfig(model_class=ModelClass.DEEP_ESN, task="t",
                            total_units=60, n_layers=3, concat=True, tau=0.2, inter_tau=0.9,
                            rho=1.0, inter_rho=0.9, omega_x=1.0, inter_omega_x=0.1,
                            omega_b=0.0, inter_omega_b=0.01)
@@ -201,7 +201,7 @@ def test_layer_configs_leaky_mapping():
 
 def test_layer_configs_concat_remainder():
     cfg = ExperimentConfig(model_class=ModelClass.DEEP_RES_ESN_R, task="t",
-                           task_class="memory", total_units=100, n_layers=3, concat=True,
+                           total_units=100, n_layers=3, concat=True,
                            alpha=0.5, beta=0.5, inter_alpha=0.1, inter_beta=0.9,
                            inter_rho=1.0, inter_omega_x=1.0, inter_omega_b=0.0)
     assert [l.hidden_size for l in cfg.layer_configs()] == [34, 33, 33]
@@ -236,10 +236,10 @@ def test_single_layer_identity_reduction_end_to_end():
     tau = 0.5
     leaky = _leaky_config(tau=tau)
     residual = ExperimentConfig(model_class=ModelClass.DEEP_RES_ESN_I, task="sinmem10",
-                                task_class="memory", total_units=30, n_layers=1,
+                                total_units=30, n_layers=1,
                                 alpha=1 - tau, beta=tau, washout=50)
     shallow_residual = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="sinmem10",
-                                        task_class="memory", total_units=30, n_layers=1,
+                                        total_units=30, n_layers=1,
                                         alpha=1 - tau, beta=tau, washout=50)
     a = run_trial(leaky, dataset, seed=77)
     b = run_trial(residual, dataset, seed=77)
@@ -264,7 +264,7 @@ def test_run_trial_classification_path():
 
     ds = split(merge_train_test(block(30, 12), block(31, 5)), 0.7, seed=1)
     cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
-                           task_class="classification", total_units=20, alpha=0.5,
+                           total_units=20, alpha=0.5,
                            beta=0.5, washout=0, lam=0.1)
     result = run_trial(cfg, ds, seed=5)
     assert not result.failed
@@ -322,12 +322,53 @@ def test_run_trial_accepts_one_dimensional_inputs(kind):
         flat = Dataset(inputs=[seq.ravel() for seq in ds.inputs], targets=ds.targets,
                        kind=kind, split=ds.split)
         cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
-                               task_class="classification", total_units=10, alpha=0.5,
+                               total_units=10, alpha=0.5,
                                beta=0.5, washout=0, lam=0.1)
     want = run_trial(cfg, ds, seed=3)
     got = run_trial(cfg, flat, seed=3)
     assert not got.failed, got.error
     assert (got.val_metric, got.test_metric) == (want.val_metric, want.test_metric)
+
+
+def test_run_trial_reads_one_dimensional_targets_as_one_output():
+    ds, _ = _tiny_task()
+    flat = Dataset(inputs=ds.inputs, targets=ds.targets.ravel(), kind="regression",
+                   split=ds.split)
+    assert flat.targets.shape == ds.targets.shape
+    got, want = run_trial(_leaky_config(), flat, seed=3), run_trial(_leaky_config(), ds, seed=3)
+    assert not got.failed, got.error
+    assert (got.val_metric, got.test_metric) == (want.val_metric, want.test_metric)
+
+
+def _producers(tmp_path):
+    """(name, dataset) from every function that builds a Dataset."""
+    for name in harness.TASK_SPECS:
+        yield f"make_task {name}", make_task(name, 3, length=300)[0]
+    seqs = _toy_classification(40, 6, (9, 12))
+    for fmt in ("ucr-ts", "flattened-image-csv"):
+        path = tmp_path / f"{fmt}.txt"
+        write_sequence_classification(path, [seq.ravel() for seq in seqs.inputs], seqs.targets,
+                                      fmt=fmt)
+        yield fmt, load_sequence_classification(path, fmt=fmt)
+    merged = merge_train_test(seqs, _toy_classification(41, 3, (9, 12)))
+    yield "merge_train_test", merged
+    yield "split fraction", split(merged, 0.5, seed=1)
+    regression = make_task("sinmem10", 1, length=300)[0]
+    yield "split lengths", split(regression, (100, 100, 100))
+    for name, ds in (("regression", regression), ("classification", merged)):
+        save_dataset(ds, tmp_path / name)
+        yield f"load_dataset {name}", load_dataset(tmp_path / name)
+
+
+def test_every_dataset_producer_holds_float_steps_of_one_width(tmp_path):
+    for name, ds in _producers(tmp_path):
+        sequences = [ds.inputs] if ds.kind == "regression" else ds.inputs
+        assert {(seq.dtype, seq.ndim, seq.shape[1]) for seq in sequences} == \
+            {(np.dtype(np.float64), 2, ds.input_dim)}, name
+        if ds.kind == "regression":
+            assert ds.targets.dtype == np.float64 and ds.targets.ndim == 2, name
+        else:
+            assert ds.targets.dtype.kind == "i" and ds.targets.ndim == 1, name
 
 
 def test_cached_one_dimensional_sequences_score_as_the_original(tmp_path):
@@ -342,7 +383,7 @@ def test_cached_one_dimensional_sequences_score_as_the_original(tmp_path):
     assert [seq.shape for seq in back.inputs] == [(20, 1)] * 30
     assert all(np.array_equal(b, a[:, None]) for b, a in zip(back.inputs, seqs))
     cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
-                           task_class="classification", total_units=10, alpha=0.5,
+                           total_units=10, alpha=0.5,
                            beta=0.5, washout=0, lam=0.1)
     want = run_trial(cfg, ds, seed=3)
     got = run_trial(cfg, back, seed=3)
@@ -373,7 +414,7 @@ def test_empty_test_split_rejected_before_any_trial(tmp_path, monkeypatch):
         raise AssertionError("a trial ran")
 
     cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
-                           task_class="classification", total_units=10, alpha=0.5,
+                           total_units=10, alpha=0.5,
                            beta=0.5, washout=0, lam=0.1)
     with pytest.raises(ValueError, match="empty test split"):
         run_trial(cfg, ds, seed=1)
@@ -396,7 +437,7 @@ def test_empty_train_or_val_split_rejected_before_any_trial(empty, monkeypatch):
         raise AssertionError("a trial ran")
 
     cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
-                           task_class="classification", total_units=10, alpha=0.5,
+                           total_units=10, alpha=0.5,
                            beta=0.5, washout=0, lam=0.1)
     message = {"train": "empty train split: no samples to fit a readout on",
                "val": r"empty val split.*re-split .* with tasks\.split\(dataset, fraction\)"}[empty]
@@ -415,15 +456,11 @@ def test_run_config_rejects_no_seeds():
 
 
 def test_non_finite_input_names_its_dataset_sequence():
-    # lengths alternate, so sequence 17 is the ninth of the 30-step group
+    # lengths alternate, so sequence 17 would be the ninth of a 30-step batch
     ds = _toy_classification(39, 20, (20, 30))
     ds.inputs[17][5, 0] = np.nan
-    ds = split(ds, (24, 8, 8))
-    cfg = ExperimentConfig(model_class=ModelClass.RES_ESN_I, task="toy",
-                           task_class="classification", total_units=10, alpha=0.5,
-                           beta=0.5, washout=0, lam=0.1)
     with pytest.raises(ValueError, match="non-finite input at step 5 of sequence 17$"):
-        run_trial(cfg, ds, seed=1)
+        split(ds, (24, 8, 8))
 
 
 def test_washout_that_leaves_no_scorable_rows_rejected_before_any_trial(monkeypatch):
@@ -504,7 +541,7 @@ def test_non_finite_seed_fails_alone_with_its_own_message(task_class, monkeypatc
 
     monkeypatch.setattr(harness, "build_deep_reservoir", poisoned)
     config = ExperimentConfig(model_class=ModelClass.DEEP_RES_ESN_C, task="toy",
-                              task_class=task_class, total_units=12, n_layers=2, alpha=0.5,
+                              total_units=12, n_layers=2, alpha=0.5,
                               beta=0.5, inter_alpha=0.5, inter_beta=0.5, inter_rho=1.0,
                               inter_omega_x=1.0, inter_omega_b=0.1, washout=20,
                               lam=0.1 if task_class == "classification" else 0.0)
@@ -530,7 +567,7 @@ def test_plain_esn_sinmem_benchmark_level():
     # 10-step sine-memory task
     dataset, _ = make_task("sinmem10", 2026)
     cfg = ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="sinmem10",
-                           task_class="memory", total_units=100, tau=1.0, rho=0.9,
+                           total_units=100, tau=1.0, rho=0.9,
                            omega_x=0.1, omega_b=0.1, washout=200)
     trials = [run_trial(cfg, dataset, trial_seed(2026, 0, j)) for j in range(5)]
     mean = np.mean([t.test_metric for t in trials])
@@ -771,17 +808,44 @@ def test_make_task_registry_full_lengths():
     assert len(ds.split.test) == 400
 
 
+# the registered split scaled to 300 steps: 4000/1000/1000 of 6000, 400/400/400
+# of 1200, 5000/2500/2500 of 10000
+SPLITS_AT_300 = {"ctxor5": (200, 50, 50), "ctxor10": (200, 50, 50), "sinmem10": (200, 50, 50),
+                 "sinmem20": (200, 50, 50), "lz25": (100, 100, 100), "lz50": (100, 100, 100),
+                 "mg": (150, 75, 75), "mg84": (150, 75, 75), "narma30": (150, 75, 75),
+                 "narma60": (150, 75, 75)}
+
+
 @pytest.mark.parametrize("name", list(harness.TASK_SPECS))
 def test_make_task_every_registered_task(name):
     ds, task_class = make_task(name, seed=3, length=300)
     assert task_class == harness.TASK_SPECS[name]["task_class"]
     assert ds.kind == "regression"
-    assert (len(ds.split.train), len(ds.split.val), len(ds.split.test)) == (200, 50, 50)
+    assert (len(ds.split.train), len(ds.split.val), len(ds.split.test)) == SPLITS_AT_300[name]
     assert ds.inputs.shape[0] == len(ds.targets) == 300
     assert ds.inputs.ndim == 2 and np.all(np.isfinite(ds.inputs))
     again, _ = make_task(name, seed=3, length=300)
     assert np.array_equal(ds.inputs, again.inputs)
     assert np.array_equal(ds.targets, again.targets)
+
+
+@pytest.mark.parametrize("name", list(harness.TASK_SPECS))
+def test_make_task_at_its_registered_length_takes_the_registered_split(name):
+    spec = harness.TASK_SPECS[name]
+    ds, _ = make_task(name, seed=0, length=spec["length"])
+    train, val, test = spec["split"]
+    assert np.array_equal(ds.split.train, np.arange(train))
+    assert np.array_equal(ds.split.val, np.arange(train, train + val))
+    assert np.array_equal(ds.split.test, np.arange(train + val, train + val + test))
+
+
+@pytest.mark.parametrize("length", [7, 8, 250, 301, 599, 601, 5999, 6001])
+def test_make_task_scales_a_two_thirds_split_as_before(length):
+    # sinmem and ctxor register 4000/1000/1000 of 6000, so scaling gives the
+    # 2/3, 1/6, rest split at every length
+    ds, _ = make_task("ctxor5", seed=0, length=length)
+    want = (int(length * 2 / 3), int(length / 6), length - int(length * 2 / 3) - int(length / 6))
+    assert (len(ds.split.train), len(ds.split.val), len(ds.split.test)) == want
 
 
 def test_make_task_rejects_unknown():

@@ -262,6 +262,72 @@ def test_dataset_refuses_split_indices_outside_its_samples(part, idx, span):
                 split=Split(**parts))
 
 
+def test_dataset_reads_a_one_dimensional_series_as_one_channel_without_a_copy():
+    x, y = np.linspace(0, 1, 40), np.linspace(1, 2, 40)
+    ds = Dataset(inputs=x, targets=y, kind="regression")
+    assert ds.inputs.shape == ds.targets.shape == (40, 1) and ds.input_dim == 1
+    assert np.shares_memory(ds.inputs, x) and np.shares_memory(ds.targets, y)
+    ints = Dataset(inputs=np.arange(5), targets=np.arange(5), kind="regression")
+    assert ints.inputs.dtype == ints.targets.dtype == np.float64
+    seqs = [np.zeros(3), np.ones((4, 1))]
+    ds = Dataset(inputs=seqs, targets=np.array([0, 1]), kind="classification")
+    assert [seq.shape for seq in ds.inputs] == [(3, 1), (4, 1)] and ds.input_dim == 1
+    assert all(np.shares_memory(a, b) for a, b in zip(ds.inputs, seqs))
+
+
+def test_dataset_refuses_sequences_whose_channel_counts_differ():
+    seqs = [np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 1))]
+    with pytest.raises(ValueError, match=r"^sequence 2 has 1 input channels, sequence 0 has 2$"):
+        Dataset(inputs=seqs, targets=np.array([0, 1, 0]), kind="classification")
+
+
+@pytest.mark.parametrize("kind, inputs, message", [
+    ("regression", np.zeros((6, 2, 1)), r"^input must be \(T,\) or \(T, N\), got shape \(6, 2, 1\)$"),
+    ("classification", [np.zeros(3), np.zeros(())],
+     r"^input of sequence 1 must be \(T,\) or \(T, N\), got shape \(\)$"),
+], ids=["regression", "classification"])
+def test_dataset_refuses_inputs_that_are_not_steps(kind, inputs, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(inputs=inputs, targets=np.zeros(len(inputs)), kind=kind)
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_dataset_refuses_a_non_finite_input_by_its_step(kind):
+    x = np.zeros((30, 2))
+    x[17, 1] = np.inf
+    if kind == "regression":
+        with pytest.raises(ValueError, match=r"^non-finite input at step 17$"):
+            Dataset(inputs=x, targets=np.zeros(30), kind=kind)
+    else:
+        with pytest.raises(ValueError, match=r"^non-finite input at step 17 of sequence 1$"):
+            Dataset(inputs=[np.zeros((5, 2)), x], targets=np.array([0, 1]), kind=kind)
+
+
+def test_dataset_refuses_a_non_finite_target_by_its_step():
+    y = np.zeros(30)
+    y[12] = np.nan
+    with pytest.raises(ValueError, match=r"^non-finite target at step 12$"):
+        Dataset(inputs=np.zeros((30, 1)), targets=y, kind="regression")
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0.0, 0.5, 1.5], r"^label 0\.5 of sequence 1 is not a whole number >= 0$"),
+    ([0, 1, -1], r"^label -1 of sequence 2 is not a whole number >= 0$"),
+    ([0.0, np.nan, 1.0], r"^label nan of sequence 1 is not a whole number >= 0$"),
+    ([[0], [1], [1]], r"^labels must be \(n,\), one per sequence, got shape \(3, 1\)$"),
+], ids=["half", "negative", "nan", "column"])
+def test_dataset_refuses_labels_that_are_not_class_codes(labels, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(inputs=[np.zeros((4, 1))] * 3, targets=np.array(labels), kind="classification")
+
+
+def test_dataset_stores_whole_float_labels_as_ints():
+    ds = Dataset(inputs=[np.zeros((4, 1))] * 3, targets=np.array([2.0, 0.0, 1.0]),
+                 kind="classification")
+    assert ds.targets.dtype.kind == "i" and ds.targets.tolist() == [2, 0, 1]
+    assert ds.n_classes == 3
+
+
 def _toy_classification(n_per_class=50, t=20, classes=2, seed=13):
     rng = RngStream(seed)
     seqs, labels = [], []
@@ -421,6 +487,25 @@ def test_classification_cache_keeps_mixed_lengths_channels_and_labels(tmp_path, 
     for got, want in zip(back.inputs, seqs):
         _assert_exact(got, want)
     _assert_same_split(back, ds)
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_cache_round_trip_of_one_dimensional_sequences_is_exact(tmp_path, kind):
+    rng = RngStream(20)
+    if kind == "regression":
+        ds = Dataset(inputs=rng.uniform(-1, 1, 40), targets=rng.uniform(-1, 1, 40), kind=kind)
+    else:
+        ds = Dataset(inputs=[rng.uniform(-1, 1, t) for t in (5, 9, 1, 7)],
+                     targets=np.array([0, 1, 1, 0]), kind=kind)
+    save_dataset(ds, tmp_path / "cache")
+    back = load_dataset(tmp_path / "cache")
+    if kind == "regression":
+        _assert_exact(back.inputs, ds.inputs)
+    else:
+        assert len(back.inputs) == len(ds.inputs)
+        for got, want in zip(back.inputs, ds.inputs):
+            _assert_exact(got, want)
+    _assert_exact(back.targets, ds.targets)
 
 
 def test_cache_rejects_old_csv_layout(tmp_path):
