@@ -441,8 +441,11 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
     ]
     work = [(configs[i], [trial_seed(master_seed, i, j) for j in range(n_seeds)])
             for i in range(budget)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+    # a pool may start all of its workers at the first submit, each with a
+    # copy of the dataset, so it gets no more workers than configurations
+    workers = min(jobs, budget)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(dataset,)) as pool:
             per_config = list(pool.map(_run_config_in_worker, work))
     else:

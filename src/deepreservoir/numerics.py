@@ -57,15 +57,6 @@ class RngStream:
         return values[idx]
 
 
-def uniform_matrix(rows: int, cols: int, lo: float, hi: float, rng: RngStream) -> np.ndarray:
-    """Matrix with i.i.d. entries uniform on [lo, hi)."""
-    if lo >= hi:
-        raise ValueError(f"invalid uniform range: lo={lo} must be < hi={hi}")
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    return rng.uniform(lo, hi, (rows, cols))
-
-
 def qr_orthogonal(n: int, rng: RngStream) -> np.ndarray:
     """Random n x n orthogonal matrix from the QR factor of a uniform draw.
 
@@ -96,51 +87,6 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
 def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue modulus of a square matrix."""
     return float(np.max(np.abs(eigenvalues(m))))
-
-
-def operator_norm_2(m: np.ndarray) -> float:
-    """Largest singular value."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-# Singular values below RIDGE_CUTOFF * sigma_max are treated as zero when
-# lambda = 0, giving the minimum-norm (pseudo-inverse) solution on
-# rank-deficient state matrices.
-RIDGE_CUTOFF = 1e-12
-
-
-def ridge_solve(h: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Ridge-regression weights W minimizing ||h @ W.T - y||^2 + lam ||W||^2.
-
-    Solved through the SVD of h with per-singular-value filter
-    sigma / (sigma^2 + lam); lam = 0 falls back to the pseudo-inverse with a
-    relative cutoff. h is (samples x features), y is (samples x outputs);
-    the result is (outputs x features).
-    """
-    h = np.asarray(h, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if h.ndim != 2 or y.ndim != 2:
-        raise ValueError("ridge_solve expects 2-d feature and target matrices")
-    if h.shape[0] != y.shape[0]:
-        raise ValueError(f"sample counts differ: features {h.shape[0]}, targets {y.shape[0]}")
-    if h.shape[0] < 1:
-        raise ValueError("ridge_solve needs at least one sample")
-    if lam < 0:
-        raise ValueError("ridge penalty must be >= 0")
-
-    u, s, vt = np.linalg.svd(h, full_matrices=False)
-    if lam == 0.0:
-        keep = s > RIDGE_CUTOFF * (s[0] if s.size else 0.0)
-        filt = np.zeros_like(s)
-        filt[keep] = 1.0 / s[keep]
-    else:
-        filt = s / (s * s + lam)
-    # W.T = V diag(filt) U.T y
-    wt = vt.T @ (filt[:, None] * (u.T @ y))
-    return wt.T
 
 
 def fft_magnitudes(signal: np.ndarray) -> np.ndarray:

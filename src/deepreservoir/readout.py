@@ -4,24 +4,46 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import ridge_solve
+# Singular values below RIDGE_CUTOFF * sigma_max are treated as zero when
+# lambda = 0, giving the minimum-norm (pseudo-inverse) solution on
+# rank-deficient state matrices.
+RIDGE_CUTOFF = 1e-12
 
 
 def fit(features: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> np.ndarray:
-    """Fit the readout y = W_o @ h by ridge regression (no intercept) on
-    (samples x features) against (samples x outputs); returns W_o, an
-    (outputs x features) array."""
+    """Fit the readout y = W_o @ h by ridge regression (no intercept): W_o
+    minimizes ||features @ W_o.T - targets||^2 + lam ||W_o||^2 over
+    (samples x features) against (samples x outputs), and is returned as an
+    (outputs x features) array.
+
+    Solved through the SVD of the features with per-singular-value filter
+    sigma / (sigma^2 + lam); lam = 0 falls back to the pseudo-inverse with a
+    relative cutoff.
+    """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    return ridge_solve(features, targets, lam)
+    if features.ndim != 2 or targets.ndim != 2:
+        raise ValueError("fit expects 2-d feature and target matrices")
+    if features.shape[0] != targets.shape[0]:
+        raise ValueError(f"sample counts differ: features {features.shape[0]}, "
+                         f"targets {targets.shape[0]}")
+    if features.shape[0] < 1:
+        raise ValueError("fit needs at least one sample")
+    if lam < 0:
+        raise ValueError("ridge penalty must be >= 0")
+
+    u, s, vt = np.linalg.svd(features, full_matrices=False)
+    if lam == 0.0:
+        keep = s > RIDGE_CUTOFF * (s[0] if s.size else 0.0)
+        filt = np.zeros_like(s)
+        filt[keep] = 1.0 / s[keep]
+    else:
+        filt = s / (s * s + lam)
+    # W_o.T = V diag(filt) U.T targets
+    return (vt.T @ (filt[:, None] * (u.T @ targets))).T
 
 
 def predict(w_o: np.ndarray, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=float)
-    if features.ndim == 1:
-        features = features[None, :]
     if features.shape[1] != w_o.shape[1]:
         raise ValueError(
             f"feature width {features.shape[1]} does not match readout ({w_o.shape[1]})"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, spectral_radius, uniform_matrix
+from .numerics import RngStream, qr_orthogonal, spectral_radius
 
 # Time steps run_states advances per input-drive product: _CHUNK for one
 # sequence, max(1, _CHUNK // B) for a batch of B sequences.
@@ -50,6 +50,9 @@ class LayerConfig:
     def __post_init__(self):
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be >= 1")
+        for name in ("spectral_radius", "input_scaling", "bias_scaling"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.spectral_radius <= 0:
             raise ValueError("spectral_radius must be > 0")
         if self.input_scaling < 0 or self.bias_scaling < 0:
@@ -143,8 +146,6 @@ def build_residual(kind: ResidualKind, n: int, rng: RngStream | None = None) -> 
         return c
     if rng is None:
         raise ValueError("random orthogonal residual needs an RngStream")
-    from .numerics import qr_orthogonal
-
     return qr_orthogonal(n, rng)
 
 
@@ -160,9 +161,9 @@ def build_layer(config: LayerConfig, input_dim: int, rng: RngStream) -> Layer:
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     n = config.hidden_size
-    w_x = uniform_matrix(n, input_dim, -1.0, 1.0, rng) * config.input_scaling
+    w_x = rng.uniform(-1.0, 1.0, (n, input_dim)) * config.input_scaling
 
-    raw = uniform_matrix(n, n, -1.0, 1.0, rng)
+    raw = rng.uniform(-1.0, 1.0, (n, n))
     rho = spectral_radius(raw)
     if rho == 0.0:
         raise ValueError("recurrent matrix draw has zero spectral radius, so it cannot be "

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import reservoir as _res
-from .numerics import RngStream, eigenvalues, operator_norm_2, spectral_radius
+from .numerics import RngStream, eigenvalues, spectral_radius
 from .reservoir import DeepReservoir, Layer
 
 
@@ -92,9 +92,9 @@ def contraction_coefficients(deep: DeepReservoir) -> tuple[list[float], float]:
     coeffs: list[float] = []
     prev_c = 0.0
     for l, layer in enumerate(deep.layers):
-        c = layer.alpha + layer.beta * operator_norm_2(layer.w_h)
+        c = layer.alpha + layer.beta * float(np.linalg.norm(layer.w_h, 2))
         if l > 0:
-            c += layer.beta * prev_c * operator_norm_2(layer.w_x)
+            c += layer.beta * prev_c * float(np.linalg.norm(layer.w_x, 2))
         coeffs.append(c)
         prev_c = c
     return coeffs, max(coeffs)

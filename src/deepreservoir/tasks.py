@@ -94,11 +94,24 @@ class Dataset:
             raise ValueError(f"unknown dataset kind: {self.kind!r}")
         if len(self.targets) != self.n_samples:
             raise ValueError(f"{len(self.targets)} targets for {self.n_samples} {samples}")
-        for part in ("train", "val", "test") if self.split is not None else ():
-            idx = np.asarray(getattr(self.split, part))
+        if self.split is None:
+            return
+        parts = {part: np.asarray(getattr(self.split, part)) for part in ("train", "val", "test")}
+        for part, idx in parts.items():
+            if idx.size and not np.issubdtype(idx.dtype, np.integer):
+                raise ValueError(f"{part} split indices must be integers, got {idx.dtype}")
             if idx.size and (idx.min() < 0 or idx.max() >= self.n_samples):
                 raise ValueError(f"{part} split indices span [{idx.min()}, {idx.max()}], "
                                  f"outside [0, {self.n_samples}) of the {samples}")
+        # an empty part may be float; every index is a whole number by now
+        held = np.concatenate(list(parts.values())).astype(np.intp, copy=False)
+        shared = np.flatnonzero(np.bincount(held, minlength=self.n_samples) > 1)
+        if shared.size:
+            i = shared[0]
+            holders = [part for part, idx in parts.items() if i in idx]
+            if len(holders) == 1:
+                raise ValueError(f"the {holders[0]} split part holds index {i} twice")
+            raise ValueError(f"the {holders[0]} and {holders[1]} split parts share index {i}")
 
     @property
     def n_samples(self) -> int:

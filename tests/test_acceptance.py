@@ -20,15 +20,14 @@ from deepreservoir.analysis import (
 )
 from deepreservoir.cli import build_parser
 from deepreservoir.harness import (
-    ExperimentConfig,
     HyperGrid,
     ModelClass,
     make_task,
     random_search,
     sample_config,
 )
-from deepreservoir.numerics import RngStream, ridge_solve, spectral_radius, uniform_matrix
-from deepreservoir.numerics import fft_magnitudes, operator_norm_2
+from deepreservoir.numerics import RngStream, fft_magnitudes, spectral_radius
+from deepreservoir.readout import fit
 from deepreservoir.reservoir import (
     LayerConfig,
     ResidualKind,
@@ -201,10 +200,10 @@ def _contractive_stack(target_c, seed, n_layers=3, n=10, alpha=0.2, beta=0.5):
     deep = build_deep_reservoir(configs, 1, RngStream(seed))
     slack = (target_c - alpha) / beta
     first = deep.layers[0]
-    first.w_h *= slack / operator_norm_2(first.w_h)
+    first.w_h *= slack / np.linalg.norm(first.w_h, 2)
     for layer in deep.layers[1:]:
-        layer.w_h *= (slack / 2.0) / operator_norm_2(layer.w_h)
-        layer.w_x *= (slack / 2.0) / (target_c * operator_norm_2(layer.w_x))
+        layer.w_h *= (slack / 2.0) / np.linalg.norm(layer.w_h, 2)
+        layer.w_x *= (slack / 2.0) / (target_c * np.linalg.norm(layer.w_x, 2))
     return deep
 
 
@@ -241,12 +240,12 @@ def test_criterion_04_contraction():
 def test_criterion_05_oracles():
     # ridge vs dense normal equations
     rng = RngStream(550)
-    h = uniform_matrix(50, 10, -1, 1, rng)
-    y = uniform_matrix(50, 4, -1, 1, rng)
+    h = rng.uniform(-1, 1, (50, 10))
+    y = rng.uniform(-1, 1, (50, 4))
     for lam in (0.0, 0.1, 10.0):
         reference = np.linalg.solve(h.T @ h + lam * np.eye(10) if lam else h.T @ h,
                                     h.T @ y).T
-        assert np.max(np.abs(ridge_solve(h, y, lam) - reference)) < 1e-8
+        assert np.max(np.abs(fit(h, y, lam) - reference)) < 1e-8
 
     # one-sided FFT vs direct DFT summation for every length up to 1024
     for t in range(2, 1025):

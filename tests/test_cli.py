@@ -105,6 +105,20 @@ def test_eigen_command(tmp_path, capsys):
     assert len(as_json["layer_1"]) == 8
 
 
+@pytest.mark.parametrize("command,flag,value,field", [
+    ("stability", "--omega-x", "inf", "input_scaling"),
+    ("eigen", "--omega-b", "nan", "bias_scaling"),
+    ("stability", "--rho", "inf", "spectral_radius"),
+])
+def test_layer_commands_refuse_non_finite_hyperparameters(tmp_path, capsys, command, flag,
+                                                           value, field):
+    rc = main([command, "--layers", "2", "--units", "5", flag, value, "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"{field} must be finite, got {value}"}
+    assert not (tmp_path / command).exists()
+
+
 def test_report_rebuilds_markdown(tmp_path):
     rc = main(["search", "--task", "sinmem10", "--model", "ResESN_C",
                "--budget", "1", "--seeds", "1", "--length", "300",

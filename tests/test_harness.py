@@ -377,7 +377,8 @@ def test_cached_one_dimensional_sequences_score_as_the_original(tmp_path):
     seqs = [rng.uniform(-0.2, 0.2, 20) + (0.8 if i % 2 else -0.8) for i in range(30)]
     ds = split(Dataset(inputs=seqs, targets=np.arange(30) % 2, kind="classification"),
                0.8, seed=1)
-    ds = dataclasses.replace(ds, split=Split(ds.split.train, ds.split.val, ds.split.val))
+    ds = dataclasses.replace(ds, split=Split(ds.split.train[:-4], ds.split.val,
+                                              ds.split.train[-4:]))
     save_dataset(ds, tmp_path / "cache")
     back = load_dataset(tmp_path / "cache")
     assert [seq.shape for seq in back.inputs] == [(20, 1)] * 30
@@ -555,6 +556,30 @@ def test_non_finite_seed_fails_alone_with_its_own_message(task_class, monkeypatc
         assert _without_wall_time(a) == _without_wall_time(b) or a.failed
 
 
+def test_readout_failure_fails_its_own_seed_alone(monkeypatch):
+    # the second seed's readout solve raises; the other seeds of the
+    # configuration score as they do alone
+    dataset = _search_dataset("memory")
+    config = _leaky_config(total_units=12, washout=20)
+    alone = [run_trial(config, dataset, seed) for seed in (5, 7, 9)]
+    solves, real_fit = [], harness.fit
+
+    def failing_fit(features, targets, lam):
+        solves.append(lam)
+        if len(solves) == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_fit(features, targets, lam)
+
+    monkeypatch.setattr(harness, "fit", failing_fit)
+    together = harness.run_config(config, dataset, [5, 7, 9])
+    assert len(solves) == 3
+    assert [t.failed for t in together] == [False, True, False]
+    assert together[1].error == "SVD did not converge"
+    assert np.isnan(together[1].val_metric) and np.isnan(together[1].test_metric)
+    assert [_without_wall_time(together[i]) for i in (0, 2)] == \
+        [_without_wall_time(alone[i]) for i in (0, 2)]
+
+
 def test_trial_seed_stable_and_distinct():
     assert trial_seed(0, 0, 0) == trial_seed(0, 0, 0)
     seeds = {trial_seed(0, i, j) for i in range(5) for j in range(5)}
@@ -660,6 +685,39 @@ def test_search_all_failed_raises(monkeypatch):
     with pytest.raises(RuntimeError):
         random_search(HyperGrid(), ModelClass.LEAKY_ESN, dataset, "sinmem10",
                       task_class, budget=2, n_seeds=1, master_seed=0)
+
+
+@pytest.mark.parametrize("jobs, budget, pools", [(8, 2, [2]), (2, 5, [2]), (4, 1, []),
+                                                 (1, 3, [])])
+def test_search_starts_no_more_workers_than_configurations(jobs, budget, pools, monkeypatch):
+    # a fork-started pool launches every worker at the first submit, each
+    # with a copy of the dataset; this one maps in-process and starts none
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "_worker_dataset", None)
+    dataset, task_class = _tiny_task(length=300)
+    kwargs = dict(budget=budget, n_seeds=1, master_seed=4, washout=20, total_units=10)
+    _, table = random_search(HyperGrid(), ModelClass.LEAKY_ESN, dataset, "sinmem10",
+                             task_class, jobs=jobs, **kwargs)
+    assert started == pools
+    _, alone = random_search(HyperGrid(), ModelClass.LEAKY_ESN, dataset, "sinmem10",
+                             task_class, jobs=1, **kwargs)
+    assert table.rows == alone.rows
 
 
 def test_search_reproducible_and_parallelism_invariant():

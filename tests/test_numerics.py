@@ -5,12 +5,12 @@ from deepreservoir.numerics import (
     RngStream,
     eigenvalues,
     fft_magnitudes,
-    operator_norm_2,
     qr_orthogonal,
-    ridge_solve,
     spectral_radius,
-    uniform_matrix,
 )
+from deepreservoir.readout import fit
+from deepreservoir.reservoir import DeepReservoir, Layer
+from deepreservoir.stability import contraction_coefficients
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -99,34 +99,6 @@ def test_rng_integer_and_string_labels_stable():
 
 
 # ---------------------------------------------------------------------------
-# uniform_matrix
-
-
-def test_uniform_matrix_degenerate_interval():
-    m = uniform_matrix(5, 5, 0.5, 0.5 + 1e-12, RngStream(0))
-    assert np.all(np.abs(m - 0.5) <= 1e-12)
-
-
-def test_uniform_matrix_large_sample_mean():
-    m = uniform_matrix(1000, 1000, -1.0, 1.0, RngStream(11))
-    # 3 sigma of the mean of 1e6 uniform(-1,1) draws is ~0.0017
-    assert abs(m.mean()) < 0.01
-    assert m.min() >= -1.0 and m.max() < 1.0
-
-
-def test_uniform_matrix_deterministic():
-    assert np.array_equal(uniform_matrix(10, 4, -2, 3, RngStream(9)),
-                          uniform_matrix(10, 4, -2, 3, RngStream(9)))
-
-
-def test_uniform_matrix_rejects_bad_range():
-    with pytest.raises(ValueError):
-        uniform_matrix(2, 2, 1.0, 1.0, RngStream(0))
-    with pytest.raises(ValueError):
-        uniform_matrix(2, 2, 2.0, -1.0, RngStream(0))
-
-
-# ---------------------------------------------------------------------------
 # qr_orthogonal
 
 
@@ -166,7 +138,7 @@ def test_spectral_radius_diagonal():
 
 
 def test_spectral_radius_vs_gelfand_oracle():
-    m = uniform_matrix(20, 20, -1, 1, RngStream(31))
+    m = RngStream(31).uniform(-1, 1, (20, 20))
     expected = gelfand_radius(m)
     got = spectral_radius(m)
     assert abs(got - expected) / expected < 1e-6
@@ -178,67 +150,66 @@ def test_spectral_radius_rejects_non_square():
 
 
 # ---------------------------------------------------------------------------
-# operator_norm_2
-
-
-def test_operator_norm_basics():
-    assert operator_norm_2(np.eye(7)) == pytest.approx(1.0, abs=1e-12)
-    assert operator_norm_2(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-12)
+# operator norm in the contraction coefficient
 
 
 def test_operator_norm_vs_gram_oracle():
-    m = uniform_matrix(30, 20, -1, 1, RngStream(13))
+    # one layer with alpha = 0 and beta = 1 has C = ||W_h||
+    m = RngStream(13).uniform(-1, 1, (20, 20))
+    layer = Layer(w_x=np.zeros((20, 1)), w_h=m, b=np.zeros(20), o=np.eye(20), alpha=0.0, beta=1.0)
     gram = np.sqrt(spectral_radius(m.T @ m))
-    assert abs(operator_norm_2(m) - gram) < 1e-9
+    assert abs(contraction_coefficients(DeepReservoir([layer]))[1] - gram) < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# ridge_solve
+# ridge readout (readout.fit)
 
 
 def test_ridge_interpolates_square_system():
     rng = RngStream(17)
-    h = uniform_matrix(12, 12, -1, 1, rng)
-    y = uniform_matrix(12, 3, -1, 1, rng)
-    w = ridge_solve(h, y, 0.0)
+    h = rng.uniform(-1, 1, (12, 12))
+    y = rng.uniform(-1, 1, (12, 3))
+    w = fit(h, y, 0.0)
     assert np.linalg.norm(h @ w.T - y) < 1e-8
 
 
 def test_ridge_shrinkage_limit():
     rng = RngStream(18)
-    h = uniform_matrix(40, 10, -1, 1, rng)
-    y = uniform_matrix(40, 2, -1, 1, rng)
-    w = ridge_solve(h, y, 1e12)
+    h = rng.uniform(-1, 1, (40, 10))
+    y = rng.uniform(-1, 1, (40, 2))
+    w = fit(h, y, 1e12)
     assert np.linalg.norm(w) < 1e-6 * np.linalg.norm(h.T @ y)
 
 
 def test_ridge_matches_normal_equations():
     rng = RngStream(19)
-    h = uniform_matrix(50, 10, -1, 1, rng)
-    y = uniform_matrix(50, 4, -1, 1, rng)
+    h = rng.uniform(-1, 1, (50, 10))
+    y = rng.uniform(-1, 1, (50, 4))
     lam = 0.1
     expected = np.linalg.solve(h.T @ h + lam * np.eye(10), h.T @ y).T
-    got = ridge_solve(h, y, lam)
+    got = fit(h, y, lam)
     assert np.max(np.abs(got - expected)) < 1e-8
 
 
 def test_ridge_matches_normal_equations_when_well_conditioned():
     for seed, (s, f, o) in enumerate([(30, 5, 1), (80, 20, 3), (25, 25, 2)]):
         rng = RngStream(100 + seed)
-        h = uniform_matrix(s, f, -1, 1, rng)
-        y = uniform_matrix(s, o, -1, 1, rng)
+        h = rng.uniform(-1, 1, (s, f))
+        y = rng.uniform(-1, 1, (s, o))
         for lam in (1e-3, 0.1, 10.0):
             gram = h.T @ h + lam * np.eye(f)
             assert np.linalg.cond(gram) < 1e8
             expected = np.linalg.solve(gram, h.T @ y).T
-            assert np.max(np.abs(ridge_solve(h, y, lam) - expected)) < 1e-8
+            assert np.max(np.abs(fit(h, y, lam) - expected)) < 1e-8
 
 
 def test_ridge_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        ridge_solve(np.ones((4, 2)), np.ones((5, 1)), 0.0)
+        fit(np.ones((4, 2)), np.ones((5, 1)), 0.0)
     with pytest.raises(ValueError):
-        ridge_solve(np.ones((4, 2)), np.ones((4, 1)), -1.0)
+        fit(np.ones((4, 2)), np.ones((4, 1)), -1.0)
+    with pytest.raises(ValueError, match="fit expects 2-d feature and target matrices"):
+        fit(np.ones((4, 2)), np.ones(4), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +293,14 @@ def test_eigenvalues_cyclic_permutation_are_roots_of_unity():
 
 
 def test_eigenvalues_triangular_matrix():
-    m = np.triu(uniform_matrix(6, 6, -1, 1, RngStream(3)))
+    m = np.triu(RngStream(3).uniform(-1, 1, (6, 6)))
     eigs = np.sort_complex(eigenvalues(m))
     expected = np.sort_complex(np.diag(m).astype(complex))
     assert np.max(np.abs(eigs - expected)) < 1e-10
 
 
 def test_eigenvalues_char_poly_residual_vs_lu_oracle():
-    m = uniform_matrix(20, 20, -1, 1, RngStream(41))
+    m = RngStream(41).uniform(-1, 1, (20, 20))
     bound = 1e-6 * np.linalg.norm(m) ** 20
     for lam in eigenvalues(m):
         residual = abs(lu_determinant(m - lam * np.eye(20)))

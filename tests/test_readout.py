@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from deepreservoir.numerics import RngStream, uniform_matrix
+from deepreservoir.numerics import RngStream
 from deepreservoir.readout import accuracy, fit, nrmse, one_hot, predict
 
 
 def test_fit_recovers_exact_linear_map():
     rng = RngStream(1)
-    features = uniform_matrix(60, 8, -1, 1, rng)
-    g = uniform_matrix(3, 8, -1, 1, rng)
+    features = rng.uniform(-1, 1, (60, 8))
+    g = rng.uniform(-1, 1, (3, 8))
     w_o = fit(features, features @ g.T, 0.0)
     assert w_o.shape == (3, 8)
     assert np.max(np.abs(w_o - g)) < 1e-8
@@ -16,16 +16,16 @@ def test_fit_recovers_exact_linear_map():
 
 def test_fit_interpolates_underdetermined_system():
     rng = RngStream(2)
-    features = uniform_matrix(10, 40, -1, 1, rng)  # fewer samples than features
-    targets = uniform_matrix(10, 2, -1, 1, rng)
+    features = rng.uniform(-1, 1, (10, 40))  # fewer samples than features
+    targets = rng.uniform(-1, 1, (10, 2))
     w_o = fit(features, targets, 0.0)
     assert np.linalg.norm(predict(w_o, features) - targets) < 1e-8
 
 
 def test_fit_huge_penalty_shrinks_predictions():
     rng = RngStream(3)
-    features = uniform_matrix(50, 6, -1, 1, rng)
-    targets = uniform_matrix(50, 1, -1, 1, rng)
+    features = rng.uniform(-1, 1, (50, 6))
+    targets = rng.uniform(-1, 1, (50, 1))
     w_o = fit(features, targets, 1e12)
     assert np.max(np.abs(predict(w_o, features))) < 1e-9
 
@@ -46,8 +46,8 @@ def test_predict_rejects_width_mismatch():
 
 def test_fit_predict_roundtrip_on_interpolating_problem():
     rng = RngStream(5)
-    features = uniform_matrix(20, 20, -1, 1, rng)
-    targets = uniform_matrix(20, 4, -1, 1, rng)
+    features = rng.uniform(-1, 1, (20, 20))
+    targets = rng.uniform(-1, 1, (20, 4))
     w_o = fit(features, targets, 0.0)
     assert np.max(np.abs(predict(w_o, features) - targets)) < 1e-8
 
@@ -56,8 +56,8 @@ def test_feature_scaling_invariance():
     # scaling features by c rescales the fitted weights by 1/c, predictions
     # are unchanged (lam = 0)
     rng = RngStream(6)
-    features = uniform_matrix(30, 5, -1, 1, rng)
-    targets = uniform_matrix(30, 2, -1, 1, rng)
+    features = rng.uniform(-1, 1, (30, 5))
+    targets = rng.uniform(-1, 1, (30, 2))
     c = 37.5
     m1 = fit(features, targets, 0.0)
     m2 = fit(c * features, targets, 0.0)

@@ -135,22 +135,21 @@ def test_build_layer_one_eigendecomposition_per_draw(monkeypatch):
     assert calls == [(10, 10)]
 
 
-def test_build_layer_rejects_zero_radius_draw(monkeypatch):
+def test_build_layer_rejects_zero_radius_draw():
     # every square draw comes out all zeros: the first W_h draw fails the
     # build, with no redraw
     draws = []
-    original = reservoir.uniform_matrix
 
-    def zero_square(rows, cols, lo, hi, rng):
-        m = original(rows, cols, lo, hi, rng)
-        if rows == cols:
-            draws.append(m)
-            return np.zeros_like(m)
-        return m
+    class ZeroSquares(RngStream):
+        def uniform(self, lo, hi, size):
+            m = super().uniform(lo, hi, size)
+            if np.ndim(m) == 2 and m.shape[0] == m.shape[1]:
+                draws.append(m)
+                return np.zeros_like(m)
+            return m
 
-    monkeypatch.setattr(reservoir, "uniform_matrix", zero_square)
     with pytest.raises(ValueError, match="zero spectral radius"):
-        build_layer(_config(n=6), 2, RngStream(3))
+        build_layer(_config(n=6), 2, ZeroSquares(3))
     assert len(draws) == 1
 
 
@@ -178,6 +177,15 @@ def test_layer_config_validation():
         _config(n=0)
     with pytest.raises(ValueError):
         _config(rho=0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field,key", [("spectral_radius", "rho"), ("input_scaling", "wx"),
+                                       ("bias_scaling", "wb")])
+def test_layer_config_refuses_non_finite_hyperparameters(field, key, value):
+    # NaN passes a `<= 0` check and inf passes both range checks
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        _config(**{key: value})
 
 
 # ---------------------------------------------------------------------------

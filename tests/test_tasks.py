@@ -262,6 +262,37 @@ def test_dataset_refuses_split_indices_outside_its_samples(part, idx, span):
                 split=Split(**parts))
 
 
+@pytest.mark.parametrize("parts, message", [
+    (dict(train=np.arange(400), val=np.arange(300, 500), test=np.arange(300, 600)),
+     "the train and val split parts share index 300"),
+    (dict(train=np.arange(300), val=np.arange(300, 500), test=np.arange(450, 600)),
+     "the val and test split parts share index 450"),
+    (dict(train=np.arange(400), val=np.arange(400, 500), test=np.array([10, 550])),
+     "the train and test split parts share index 10"),
+    (dict(train=np.array([0, 1, 1]), val=np.arange(400, 500), test=np.arange(500, 600)),
+     "the train split part holds index 1 twice"),
+], ids=["all-three", "val-test", "train-test", "repeat"])
+def test_dataset_refuses_split_parts_that_overlap(parts, message):
+    # rows of one part would leak into another's fit or score
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dataset(inputs=np.zeros((600, 1)), targets=np.zeros((600, 1)), kind="regression",
+                split=Split(**parts))
+
+
+def test_dataset_refuses_split_indices_that_are_not_integers():
+    parts = dict(train=np.arange(400) + 0.5, val=np.arange(400, 500), test=np.arange(500, 600))
+    with pytest.raises(ValueError, match=r"^train split indices must be integers, got float64$"):
+        Dataset(inputs=np.zeros((600, 1)), targets=np.zeros((600, 1)), kind="regression",
+                split=Split(**parts))
+
+
+def test_dataset_accepts_an_empty_split_part_of_any_dtype():
+    for empty in (np.arange(0), np.array([]), np.zeros(0, dtype=np.int32)):
+        ds = Dataset(inputs=np.zeros((600, 1)), targets=np.zeros((600, 1)), kind="regression",
+                     split=Split(train=np.arange(400), val=empty, test=np.arange(500, 600)))
+        assert len(ds.split.val) == 0
+
+
 def test_dataset_reads_a_one_dimensional_series_as_one_channel_without_a_copy():
     x, y = np.linspace(0, 1, 40), np.linspace(1, 2, 40)
     ds = Dataset(inputs=x, targets=y, kind="regression")
