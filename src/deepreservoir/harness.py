@@ -97,6 +97,10 @@ class HyperGrid:
         return self.lam_classification if task_class == "classification" else self.lam
 
 
+# The interval each mixing field of an ExperimentConfig must lie in.
+_MIXING_BOUNDS = {"tau": "(0, 1]", "alpha": "[0, 1]", "beta": "(0, 1]"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One fully specified model: class, architecture, and hyperparameters.
@@ -142,6 +146,13 @@ class ExperimentConfig:
             raise ValueError(f"a {self.n_layers}-layer {self.model_class.value} config reads "
                              f"{', '.join(read)}; missing: {', '.join(missing) or 'none'}; "
                              f"set but unused: {', '.join(unused) or 'none'}")
+        for name in read:
+            bounds = _MIXING_BOUNDS.get(name.removeprefix("inter_"))
+            value = getattr(self, name)
+            if bounds and not ((0.0 <= value if bounds[0] == "[" else 0.0 < value) and value <= 1.0):
+                raise ValueError(f"{name} must lie in {bounds}, got {value}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.washout < 0:
             raise ValueError(f"washout must be >= 0, got {self.washout}")
         allocate_units(self.total_units, self.n_layers, self.concat)

@@ -29,8 +29,8 @@ def fit(features: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> np.ndarr
                          f"targets {targets.shape[0]}")
     if features.shape[0] < 1:
         raise ValueError("fit needs at least one sample")
-    if lam < 0:
-        raise ValueError("ridge penalty must be >= 0")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"ridge penalty must be finite and >= 0, got {lam}")
 
     u, s, vt = np.linalg.svd(features, full_matrices=False)
     if lam == 0.0:

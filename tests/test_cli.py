@@ -72,6 +72,20 @@ def test_run_loads_best_config_of_an_older_manifest(tmp_path, capsys):
     assert "(0/1 failed)" in capsys.readouterr().out
 
 
+def test_run_refuses_a_nan_lam_before_any_trial(tmp_path, capsys):
+    # json reads NaN as a float; every trial used to fail as "non-finite metric"
+    cfg = ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="sinmem10",
+                           total_units=10, tau=0.5, washout=50)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()).replace('"lam": 0.0', '"lam": NaN'))
+    rc = main(["run", "--config", str(cfg_path), "--seeds", "2", "--length", "600",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": "lam must be finite and >= 0, got nan"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_stability_command(tmp_path, capsys):
     rc = main(["stability", "--kind", "cyclic", "--layers", "2", "--units", "10",
                "--alpha", "0.4", "--beta", "0.5", "--rho", "0.9",

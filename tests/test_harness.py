@@ -163,6 +163,33 @@ def test_config_refusal_names_the_fields_its_class_reads():
         dataclasses.replace(cfg, inter_tau=0.5)
 
 
+@pytest.mark.parametrize("model, n_layers, field, value, bounds", [
+    (ModelClass.LEAKY_ESN, 1, "tau", 1.5, "(0, 1]"),
+    (ModelClass.LEAKY_ESN, 1, "tau", 0.0, "(0, 1]"),
+    (ModelClass.DEEP_ESN, 3, "inter_tau", float("nan"), "(0, 1]"),
+    (ModelClass.RES_ESN_R, 1, "alpha", -0.1, "[0, 1]"),
+    (ModelClass.DEEP_RES_ESN_C, 2, "inter_alpha", 1.2, "[0, 1]"),
+    (ModelClass.RES_ESN_C, 1, "beta", 0.0, "(0, 1]"),
+    (ModelClass.DEEP_RES_ESN_I, 2, "inter_beta", float("nan"), "(0, 1]"),
+])
+def test_config_names_the_mixing_field_it_refuses(model, n_layers, field, value, bounds):
+    fields = {name: 0.5 for name in ExperimentConfig.optional_fields(model, n_layers)}
+    fields[field] = value
+    with pytest.raises(ValueError) as refused:
+        ExperimentConfig(model_class=model, task="t", n_layers=n_layers, **fields)
+    assert str(refused.value) == f"{field} must lie in {bounds}, got {value}"
+    for edge in ([1.0] if bounds[0] == "(" else [0.0, 1.0]):
+        fields[field] = edge
+        ExperimentConfig(model_class=model, task="t", n_layers=n_layers, **fields)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_config_refuses_a_lam_that_is_not_finite_and_non_negative(lam):
+    with pytest.raises(ValueError) as refused:
+        _leaky_config(lam=lam)
+    assert str(refused.value) == f"lam must be finite and >= 0, got {lam}"
+
+
 def test_config_is_frozen():
     cfg = _leaky_config()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -210,6 +210,9 @@ def test_ridge_rejects_bad_shapes():
         fit(np.ones((4, 2)), np.ones((4, 1)), -1.0)
     with pytest.raises(ValueError, match="fit expects 2-d feature and target matrices"):
         fit(np.ones((4, 2)), np.ones(4), 0.0)
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"ridge penalty must be finite and >= 0, got {lam}$"):
+            fit(np.ones((4, 2)), np.ones((4, 1)), lam)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,10 +63,10 @@ def deep_leaky_trajectory(layers_whxb, taus, inputs):
     return [np.asarray(seq) for seq in per_layer]
 
 
-def deep_residual_trajectory(layers, inputs):
+def deep_residual_trajectory(layers, inputs, h0=None):
     """Stacked residual updates with the dense O of every kind; layer l > 1
     eats layer l-1's fresh state."""
-    states = [np.zeros(layer.size) for layer in layers]
+    states = [np.zeros(layer.size) for layer in layers] if h0 is None else [h.copy() for h in h0]
     per_layer = [[] for _ in layers]
     for x in inputs:
         drive = x
@@ -492,6 +497,170 @@ def test_run_states_rejects_reservoirs_of_different_shapes():
     for other in (b, c):
         with pytest.raises(ValueError, match="share"):
             run_states([a, other], np.zeros((5, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the pipelined layers: a stack runs its layers one chunk apart, grouped
+
+
+def _layer_by_layer(deep, inputs, h0=None):
+    """Each layer of the stack run as a 1-layer reservoir fed the states of
+    the layer below: the same products, so a stack must equal it bit for
+    bit however its layers are skewed and grouped."""
+    drive, states = inputs, []
+    for l, layer in enumerate(deep.layers):
+        got, errors = run_states([DeepReservoir([layer])], drive,
+                                 h0=None if h0 is None else [h0[l]])
+        assert errors == [None]
+        states.append(got[0])
+        drive = got[0]
+    return states
+
+
+def _count_updates(monkeypatch):
+    """A list that gains one entry per kernel call run_states makes."""
+    calls, kernel = [], reservoir._kernel
+
+    def counted(*args):
+        update = kernel(*args)
+
+        def step(h, row, z):
+            calls.append(h.shape[0])
+            update(h, row, z)
+        return step
+
+    monkeypatch.setattr(reservoir, "_kernel", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+@pytest.mark.parametrize("concat", [True, False])
+@pytest.mark.parametrize("t_total", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 37])
+def test_run_states_stack_equals_its_layers_run_one_at_a_time(kind, concat, t_total):
+    # 34/33/33 units with concat (groups [34], [33, 33]), otherwise 100 each
+    # (one group of all three layers); the washout lies in the second chunk
+    # once there is one
+    configs = [_config(n=n, kind=kind) for n in allocate_units(100, 3, concat)]
+    deeps = [build_deep_reservoir(configs, 2, RngStream(seed)) for seed in (90, 91)]
+    inputs = RngStream(92).uniform(-1, 1, (t_total, 2))
+    washout = min(t_total - 1, CHUNK + 5)
+    states, errors = run_states(deeps, inputs, washout, concat)
+    assert errors == [None, None]
+    for deep, got in zip(deeps, states):
+        layers = _layer_by_layer(deep, inputs)
+        assert np.array_equal(got, np.hstack(layers if concat else layers[-1:])[washout:])
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_run_states_batch_equals_its_layers_run_one_at_a_time(kind):
+    # 3 sequences per step advance CHUNK // 3 steps per chunk: 2 full chunks
+    # and a short one, with the washout inside the second
+    deeps = [build_deep_reservoir([_config(n=12, kind=kind)] * 4, 1, RngStream(seed))
+             for seed in (93, 94)]
+    t_total, washout = 2 * (CHUNK // 3) + 11, CHUNK // 3 + 4
+    batch = RngStream(95).uniform(-1, 1, (t_total, 3, 1))
+    states, errors = run_states(deeps, batch, washout)
+    assert errors == [None, None]
+    for deep, got in zip(deeps, states):
+        assert np.array_equal(got, np.concatenate(_layer_by_layer(deep, batch), axis=2)[washout:])
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_run_states_gives_the_same_bits_however_layers_are_grouped(kind, monkeypatch):
+    deeps = [build_deep_reservoir([_config(n=20, kind=kind)] * 4, 1, RngStream(seed))
+             for seed in (96, 97, 98)]
+    t_total = 2 * CHUNK + 37
+    inputs = RngStream(99).uniform(-1, 1, (t_total, 1))
+    calls = _count_updates(monkeypatch)
+    runs = {}
+    for budget in (0, 1 << 40):
+        monkeypatch.setattr(reservoir, "_GROUP_BYTES", budget)
+        calls.clear()
+        runs[budget] = run_states(deeps, inputs, CHUNK + 5)
+        assert runs[budget][1] == [None] * 3
+        assert set(calls) <= {3 * layers for layers in range(1, 5)}
+        # one layer per group steps each layer alone; one group of all four
+        # steps every running layer at once, in six ticks of which the last
+        # runs only layer 4's short chunk
+        assert len(calls) == (4 * t_total if budget == 0 else 5 * CHUNK + 37)
+    for one, all_ in zip(runs[0][0], runs[1 << 40][0]):
+        assert np.array_equal(one, all_)
+
+
+def test_run_states_reports_the_earliest_chunk_first_across_the_skew(monkeypatch):
+    # seed 0 turns non-finite in layer 3 at chunk 0 (a NaN bias) and in
+    # layer 1 at chunk 2 (an infinite bias meets an input product that
+    # overflows the other way), which the skewed loop meets in the same
+    # tick; seed 1 only in layer 1 at chunk 2, seed 2 only in layer 2 at
+    # chunk 0
+    deeps = [build_deep_reservoir([_config(kind=ResidualKind.CYCLIC)] * 4, 2, RngStream(seed))
+             for seed in (100, 101, 102)]
+    t_fail = 2 * CHUNK + 10
+    inputs = np.zeros((6 * CHUNK, 2))
+    inputs[t_fail] = -10.0
+    for deep in deeps[:2]:
+        deep.layers[0].w_x[0] = 1e308
+        deep.layers[0].b[0] = np.inf
+    deeps[0].layers[2].b[0] = np.nan
+    deeps[2].layers[1].b[0] = np.nan
+    calls = _count_updates(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, errors = run_states(deeps, inputs)
+    assert errors == ["non-finite state at step 0 in layer 3",
+                      f"non-finite state at step {t_fail} in layer 1",
+                      "non-finite state at step 0 in layer 2"]
+    # every seed has failed by chunk 2, so the loop stops after tick 5, the
+    # first by which all four layers have run chunk 2, not after tick 8
+    assert len(calls) == 6 * CHUNK
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_step_and_forward_from_h0_on_a_grouped_stack(kind):
+    deep = build_deep_reservoir([_config(kind=kind)] * 4, 2, RngStream(103))
+    inputs = RngStream(104).uniform(-1, 1, (CHUNK + 20, 2))
+    h0 = [RngStream(105 + l).uniform(-1, 1, 10) for l in range(4)]
+    states = forward(deep, inputs, h0=h0)
+    alone = _layer_by_layer(deep, inputs, h0)
+    loop = deep_residual_trajectory(deep.layers, inputs, h0)
+    stepped = step(deep, h0, inputs[0])
+    for l in range(4):
+        assert np.array_equal(states[l], alone[l])
+        assert np.array_equal(stepped[l], alone[l][0])
+        # the scalar loop takes its products in another order
+        assert np.max(np.abs(states[l] - loop[l])) < 1e-12
+
+
+_HASH_STATES = """
+import hashlib, sys
+import numpy as np
+from deepreservoir.numerics import RngStream
+from deepreservoir.reservoir import LayerConfig, ResidualKind, build_deep_reservoir, run_states
+digest = hashlib.sha256()
+for kind, seeds, shape in [(kind, seeds, (600, 1)) for kind in ("cyclic", "random_orthogonal")
+                           for seeds in (2, 10)] + [("cyclic", 2, (64, 40, 1))]:
+    config = LayerConfig(100, 0.9, 1.0, 0.1, 0.5, 0.5, ResidualKind(kind))
+    deeps = [build_deep_reservoir([config] * 3, 1, RngStream(seed)) for seed in range(seeds)]
+    states, errors = run_states(deeps, RngStream(seeds).uniform(-1, 1, shape), 10)
+    assert errors == [None] * seeds
+    for s in states:
+        digest.update(np.ascontiguousarray(s).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_run_states_bits_do_not_depend_on_the_blas_thread_count():
+    # the readout's SVD depends on the thread count; the states must not
+    package_root = str(Path(reservoir.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run([sys.executable, "-c", _HASH_STATES], env=env, capture_output=True,
+                               text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        digests.append(child.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
