@@ -24,12 +24,13 @@ from . import tasks as _tasks
 from .numerics import RngStream
 from .readout import accuracy, fit, nrmse, one_hot, predict
 from .reservoir import (
+    INTERVALS,
     DeepReservoir,
     LayerConfig,
     ResidualKind,
-    StateOverflowError,
     allocate_units,
     build_deep_reservoir,
+    require_in,
     run_states,
 )
 # Trials call neither forward nor readout_features, but both stay importable
@@ -40,32 +41,24 @@ from .tasks import Dataset
 
 
 class ModelClass(enum.Enum):
-    LEAKY_ESN = "LeakyESN"
-    RES_ESN_R = "ResESN_R"
-    RES_ESN_C = "ResESN_C"
-    RES_ESN_I = "ResESN_I"
-    DEEP_ESN = "DeepESN"
-    DEEP_RES_ESN_R = "DeepResESN_R"
-    DEEP_RES_ESN_C = "DeepResESN_C"
-    DEEP_RES_ESN_I = "DeepResESN_I"
+    """One row per class: its name, then whether it is deep, whether it is
+    leaky, and its residual kind (a leaky class integrates through the
+    identity)."""
 
-    @property
-    def is_deep(self) -> bool:
-        return self in (ModelClass.DEEP_ESN, ModelClass.DEEP_RES_ESN_R,
-                        ModelClass.DEEP_RES_ESN_C, ModelClass.DEEP_RES_ESN_I)
+    LEAKY_ESN = "LeakyESN", False, True, ResidualKind.IDENTITY
+    RES_ESN_R = "ResESN_R", False, False, ResidualKind.RANDOM_ORTHOGONAL
+    RES_ESN_C = "ResESN_C", False, False, ResidualKind.CYCLIC
+    RES_ESN_I = "ResESN_I", False, False, ResidualKind.IDENTITY
+    DEEP_ESN = "DeepESN", True, True, ResidualKind.IDENTITY
+    DEEP_RES_ESN_R = "DeepResESN_R", True, False, ResidualKind.RANDOM_ORTHOGONAL
+    DEEP_RES_ESN_C = "DeepResESN_C", True, False, ResidualKind.CYCLIC
+    DEEP_RES_ESN_I = "DeepResESN_I", True, False, ResidualKind.IDENTITY
 
-    @property
-    def is_leaky(self) -> bool:
-        return self in (ModelClass.LEAKY_ESN, ModelClass.DEEP_ESN)
-
-    @property
-    def residual_kind(self) -> ResidualKind:
-        if self in (ModelClass.RES_ESN_R, ModelClass.DEEP_RES_ESN_R):
-            return ResidualKind.RANDOM_ORTHOGONAL
-        if self in (ModelClass.RES_ESN_C, ModelClass.DEEP_RES_ESN_C):
-            return ResidualKind.CYCLIC
-        # leaky variants integrate through the identity
-        return ResidualKind.IDENTITY
+    def __new__(cls, value: str, is_deep: bool, is_leaky: bool, residual_kind: ResidualKind):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.is_deep, member.is_leaky, member.residual_kind = is_deep, is_leaky, residual_kind
+        return member
 
 
 @dataclass(frozen=True)
@@ -97,8 +90,11 @@ class HyperGrid:
         return self.lam_classification if task_class == "classification" else self.lam
 
 
-# The interval each mixing field of an ExperimentConfig must lie in.
-_MIXING_BOUNDS = {"tau": "(0, 1]", "alpha": "[0, 1]", "beta": "(0, 1]"}
+# The LayerConfig field each hyperparameter sets, and so the interval it
+# must lie in; an inter_ twin sets it on every layer past the first. tau
+# sets beta, and alpha = 1 - tau with it.
+_LAYER_FIELDS = {"rho": "spectral_radius", "omega_x": "input_scaling",
+                 "omega_b": "bias_scaling", "tau": "beta", "alpha": "alpha", "beta": "beta"}
 
 
 @dataclass(frozen=True)
@@ -146,13 +142,10 @@ class ExperimentConfig:
             raise ValueError(f"a {self.n_layers}-layer {self.model_class.value} config reads "
                              f"{', '.join(read)}; missing: {', '.join(missing) or 'none'}; "
                              f"set but unused: {', '.join(unused) or 'none'}")
-        for name in read:
-            bounds = _MIXING_BOUNDS.get(name.removeprefix("inter_"))
-            value = getattr(self, name)
-            if bounds and not ((0.0 <= value if bounds[0] == "[" else 0.0 < value) and value <= 1.0):
-                raise ValueError(f"{name} must lie in {bounds}, got {value}")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        for name in ["rho", "omega_x", "omega_b"] + read:
+            layer_field = _LAYER_FIELDS[name.removeprefix("inter_")]
+            require_in(name, getattr(self, name), INTERVALS[layer_field])
+        require_in("lam", self.lam, "[0, inf)")
         if self.washout < 0:
             raise ValueError(f"washout must be >= 0, got {self.washout}")
         allocate_units(self.total_units, self.n_layers, self.concat)
@@ -169,23 +162,14 @@ class ExperimentConfig:
         return mixing + [f"inter_{name}" for name in mixing + ["rho", "omega_x", "omega_b"]]
 
     def layer_configs(self) -> list[LayerConfig]:
-        read = self.optional_fields(self.model_class, self.n_layers)
+        read = ["rho", "omega_x", "omega_b"] + self.optional_fields(self.model_class, self.n_layers)
         out = []
         for l, size in enumerate(allocate_units(self.total_units, self.n_layers, self.concat)):
             # the first layer reads the plain fields, every later one their inter twins
-            hp = {name.removeprefix("inter_"): getattr(self, name)
-                  for name in ["rho", "omega_x", "omega_b"] + read
-                  if name.startswith("inter_") == (l > 0)}
-            alpha, beta = (1.0 - hp["tau"], hp["tau"]) if "tau" in hp else (hp["alpha"], hp["beta"])
-            out.append(LayerConfig(
-                hidden_size=size,
-                spectral_radius=hp["rho"],
-                input_scaling=hp["omega_x"],
-                bias_scaling=hp["omega_b"],
-                alpha=alpha,
-                beta=beta,
-                residual=self.model_class.residual_kind,
-            ))
+            hp = {_LAYER_FIELDS[name.removeprefix("inter_")]: getattr(self, name)
+                  for name in read if name.startswith("inter_") == (l > 0)}
+            hp.setdefault("alpha", 1.0 - hp["beta"])  # a leaky layer's alpha is 1 - tau
+            out.append(LayerConfig(hidden_size=size, residual=self.model_class.residual_kind, **hp))
         return out
 
     def to_dict(self) -> dict:
@@ -296,11 +280,13 @@ def _last_state_features(deeps: list[DeepReservoir], sequences: list[np.ndarray]
     return feats, errors
 
 
-def _require_scorable_split(dataset: Dataset, washout: int) -> None:
-    """Reject a split no trial can be scored on, before any trial runs: a
-    readout needs a train row to fit, and a regression one two val and two
-    test rows after the washout to take an NRMSE; a classification search
-    selects on val, so val must hold a sequence."""
+def _scored_rows(dataset: Dataset, washout: int) -> list[np.ndarray]:
+    """The train, val and test samples a trial fits and scores on: a
+    regression split's steps from the washout on, a classification split's
+    sequences. Refuses a split no trial can be scored on, before any trial
+    runs: a readout needs a train row to fit, and a regression one two val
+    and two test rows to take an NRMSE; a classification search selects on
+    val, so val must hold a sequence."""
     sp = dataset.split
     if sp is None:
         raise ValueError("dataset has no split attached")
@@ -308,41 +294,19 @@ def _require_scorable_split(dataset: Dataset, washout: int) -> None:
         raise ValueError("dataset has an empty test split: no samples to score a trial on")
     if len(sp.train) == 0:
         raise ValueError("dataset has an empty train split: no samples to fit a readout on")
-    if dataset.kind == "regression":
-        rows = [int(np.count_nonzero(idx >= washout)) for idx in (sp.train, sp.val, sp.test)]
-        if rows[0] < 1 or rows[1] < 2 or rows[2] < 2:
-            raise ValueError(
-                f"washout {washout} leaves {rows[0]}/{rows[1]}/{rows[2]} train/val/test rows "
-                f"of the {len(sp.train)}/{len(sp.val)}/{len(sp.test)} split; "
-                "a trial needs at least 1/2/2")
-    elif len(sp.val) == 0:
-        raise ValueError("dataset has an empty val split: no samples to select a configuration "
-                         "on; re-split its train sequences with tasks.split(dataset, fraction)")
-
-
-def _score(config: ExperimentConfig, feats: np.ndarray, dataset: Dataset) -> tuple[float, float]:
-    """Fit one reservoir's readout on the train rows and score it on val and
-    test. Regression has a row per step from the washout on and scores NRMSE;
-    classification has a row per sequence, fits one-hot targets and scores
-    accuracy."""
-    sp = dataset.split
-    truth = fit_targets = dataset.targets
-    if dataset.kind == "regression":
-        washout, metric = config.washout, nrmse
-    else:
-        washout, metric = 0, accuracy
-        fit_targets = one_hot(truth, dataset.n_classes)
-
-    def rows(idx: np.ndarray) -> np.ndarray:
-        return idx[idx >= washout]
-
-    train = rows(sp.train)
-    w_o = fit(feats[train - washout], fit_targets[train], config.lam)
-    scores = [metric(predict(w_o, feats[idx - washout]), truth[idx])
-              for idx in (rows(sp.val), rows(sp.test))]
-    if not np.all(np.isfinite(scores)):
-        raise StateOverflowError("non-finite metric")
-    return float(scores[0]), float(scores[1])
+    if dataset.kind == "classification":
+        if len(sp.val) == 0:
+            raise ValueError("dataset has an empty val split: no samples to select a "
+                             "configuration on; re-split its train sequences with "
+                             "tasks.split(dataset, fraction)")
+        return [sp.train, sp.val, sp.test]
+    rows = [idx[idx >= washout] for idx in (sp.train, sp.val, sp.test)]
+    if len(rows[0]) < 1 or len(rows[1]) < 2 or len(rows[2]) < 2:
+        raise ValueError(
+            f"washout {washout} leaves {len(rows[0])}/{len(rows[1])}/{len(rows[2])} "
+            f"train/val/test rows of the {len(sp.train)}/{len(sp.val)}/{len(sp.test)} split; "
+            "a trial needs at least 1/2/2")
+    return rows
 
 
 def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> list[TrialResult]:
@@ -354,23 +318,35 @@ def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> 
     dynamics fail only their own seed, reported as a failed trial rather
     than raised. Each trial's wall_time is an equal share of the run.
     """
-    _require_scorable_split(dataset, config.washout)
+    train, val_rows, test_rows = _scored_rows(dataset, config.washout)
     if not seeds:
         raise ValueError("no seeds to run: a configuration needs at least one seed")
     started = time.perf_counter()
     deeps = [build_deep_reservoir(config.layer_configs(), dataset.input_dim, RngStream(seed),
                                   concat=config.concat) for seed in seeds]
+    # regression has a feature row per step from the washout on and scores
+    # NRMSE; classification has one per sequence, fits one-hot targets and
+    # scores accuracy
     if dataset.kind == "regression":
         feats, errors = run_states(deeps, dataset.inputs, config.washout, config.concat)
+        first, targets, metric = config.washout, dataset.targets, nrmse
     else:
         feats, errors = _last_state_features(deeps, dataset.inputs, config.concat)
+        first, targets, metric = 0, one_hot(dataset.targets, dataset.n_classes), accuracy
+    fit_rows, fit_targets = train - first, targets[train]
+    scored = [(rows - first, dataset.targets[rows]) for rows in (val_rows, test_rows)]
     outcomes = []
     for seed, seed_feats, error in zip(seeds, feats, errors):
         val = test = float("nan")
         if error is None:
             try:
-                val, test = _score(config, seed_feats, dataset)
-            except (StateOverflowError, np.linalg.LinAlgError) as exc:
+                w_o = fit(seed_feats[fit_rows], fit_targets, config.lam)
+                scores = [metric(predict(w_o, seed_feats[idx]), truth) for idx, truth in scored]
+                if np.all(np.isfinite(scores)):
+                    val, test = map(float, scores)
+                else:
+                    error = "non-finite metric"
+            except np.linalg.LinAlgError as exc:
                 error = str(exc)
         outcomes.append((seed, val, test, error))
     wall = (time.perf_counter() - started) / len(seeds)
@@ -443,7 +419,7 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
     higher = dataset.kind == "classification"
     if higher != (task_class == "classification"):
         raise ValueError(f"task class {task_class!r} contradicts the {dataset.kind} dataset")
-    _require_scorable_split(dataset, washout)
+    _scored_rows(dataset, washout)
     sampler = RngStream(master_seed).child("sampler")
     configs = [
         sample_config(grid, model_class, task, task_class, sampler,

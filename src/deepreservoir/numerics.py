@@ -37,6 +37,8 @@ class RngStream:
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self._path = _path
         seq = np.random.SeedSequence((self.seed,) + _path)
         self._gen = np.random.Generator(np.random.Philox(seq))

@@ -43,6 +43,21 @@ class ResidualKind(enum.Enum):
     IDENTITY = "identity"
 
 
+# The interval each LayerConfig hyperparameter must lie in, as the paper's
+# stability analysis holds them.
+INTERVALS = {"spectral_radius": "(0, inf)", "input_scaling": "[0, inf)",
+             "bias_scaling": "[0, inf)", "alpha": "[0, 1]", "beta": "(0, 1]"}
+
+
+def require_in(name: str, value: float, interval: str) -> None:
+    """Refuse a value outside an interval written as "(lo, hi]" and the like,
+    naming the field and the value; NaN lies in no interval."""
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    if not ((lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi)):
+        raise ValueError(f"{name} must lie in {interval}, got {value}")
+
+
 @dataclass(frozen=True)
 class LayerConfig:
     """Hyperparameters of one reservoir layer."""
@@ -58,17 +73,8 @@ class LayerConfig:
     def __post_init__(self):
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be >= 1")
-        for name in ("spectral_radius", "input_scaling", "bias_scaling"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.spectral_radius <= 0:
-            raise ValueError("spectral_radius must be > 0")
-        if self.input_scaling < 0 or self.bias_scaling < 0:
-            raise ValueError("scalings must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
+        for name, interval in INTERVALS.items():
+            require_in(name, getattr(self, name), interval)
 
 
 @dataclass
@@ -185,8 +191,6 @@ def build_layer(config: LayerConfig, input_dim: int, rng: RngStream) -> Layer:
 def build_deep_reservoir(configs: list[LayerConfig], input_dim: int, rng: RngStream,
                          concat: bool = False) -> DeepReservoir:
     """Build a layer stack; layer l > 1 takes layer l-1's state as input."""
-    if not configs:
-        raise ValueError("need at least one layer config")
     layers: list[Layer] = []
     dim = input_dim
     for cfg in configs:
@@ -296,6 +300,8 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         raise ValueError(f"washout must be >= 0, got {washout}")
     if washout >= t_total:
         raise ValueError(f"washout {washout} must be < sequence length {t_total}")
+    if h0 is not None and len(h0) != first.n_layers:
+        raise ValueError(f"h0 has {len(h0)} initial states, the stack has {first.n_layers} layers")
     _require_finite_inputs(inputs)
     for deep in reservoirs[1:]:
         if [(l.size, l.input_dim, l.alpha, l.beta) for l in deep.layers] != \
@@ -423,8 +429,6 @@ def forward(deep: DeepReservoir, inputs: np.ndarray,
         inputs = inputs[:, None]
     if inputs.ndim != 2 or len(inputs) == 0:
         raise ValueError(f"inputs have shape {inputs.shape}, expected non-empty (T, N_x) or (T,)")
-    if h0 is not None and len(h0) != deep.n_layers:
-        raise ValueError(f"h0 has {len(h0)} initial states, the stack has {deep.n_layers} layers")
     states, errors = run_states([deep], inputs, h0=h0)
     if errors[0] is not None:
         raise StateOverflowError(errors[0])

@@ -82,7 +82,7 @@ def test_run_refuses_a_nan_lam_before_any_trial(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
-    assert err == {"error": "ValueError", "message": "lam must be finite and >= 0, got nan"}
+    assert err == {"error": "ValueError", "message": "lam must lie in [0, inf), got nan"}
     assert not (tmp_path / "out").exists()
 
 
@@ -119,17 +119,18 @@ def test_eigen_command(tmp_path, capsys):
     assert len(as_json["layer_1"]) == 8
 
 
-@pytest.mark.parametrize("command,flag,value,field", [
-    ("stability", "--omega-x", "inf", "input_scaling"),
-    ("eigen", "--omega-b", "nan", "bias_scaling"),
-    ("stability", "--rho", "inf", "spectral_radius"),
+@pytest.mark.parametrize("command,flag,value,field,interval", [
+    ("stability", "--omega-x", "inf", "input_scaling", "[0, inf)"),
+    ("eigen", "--omega-b", "nan", "bias_scaling", "[0, inf)"),
+    ("stability", "--rho", "inf", "spectral_radius", "(0, inf)"),
 ])
 def test_layer_commands_refuse_non_finite_hyperparameters(tmp_path, capsys, command, flag,
-                                                           value, field):
+                                                           value, field, interval):
     rc = main([command, "--layers", "2", "--units", "5", flag, value, "--out", str(tmp_path)])
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
-    assert err == {"error": "ValueError", "message": f"{field} must be finite, got {value}"}
+    assert err == {"error": "ValueError",
+                   "message": f"{field} must lie in {interval}, got {value}"}
     assert not (tmp_path / command).exists()
 
 
@@ -237,6 +238,18 @@ def test_zero_seeds_rejected(tmp_path, capsys, command):
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {"error": "ValueError",
                    "message": "no seeds to run: a configuration needs at least one seed"}
+
+
+@pytest.mark.parametrize("command,args", [
+    ("search", ["--task", "sinmem10", "--model", "LeakyESN", "--budget", "1", "--length", "600"]),
+    ("stability", ["--layers", "2", "--units", "5"]),
+])
+def test_negative_seed_is_refused_by_name(tmp_path, capsys, command, args):
+    rc = main([command, *args, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": "seed must be >= 0, got -1"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_unknown_task(capsys):

@@ -163,31 +163,104 @@ def test_config_refusal_names_the_fields_its_class_reads():
         dataclasses.replace(cfg, inter_tau=0.5)
 
 
-@pytest.mark.parametrize("model, n_layers, field, value, bounds", [
-    (ModelClass.LEAKY_ESN, 1, "tau", 1.5, "(0, 1]"),
-    (ModelClass.LEAKY_ESN, 1, "tau", 0.0, "(0, 1]"),
-    (ModelClass.DEEP_ESN, 3, "inter_tau", float("nan"), "(0, 1]"),
-    (ModelClass.RES_ESN_R, 1, "alpha", -0.1, "[0, 1]"),
-    (ModelClass.DEEP_RES_ESN_C, 2, "inter_alpha", 1.2, "[0, 1]"),
-    (ModelClass.RES_ESN_C, 1, "beta", 0.0, "(0, 1]"),
-    (ModelClass.DEEP_RES_ESN_I, 2, "inter_beta", float("nan"), "(0, 1]"),
+# The interval each hyperparameter of a config must lie in (README, `harness`).
+INTERVALS = {"rho": "(0, inf)", "omega_x": "[0, inf)", "omega_b": "[0, inf)",
+             "tau": "(0, 1]", "alpha": "[0, 1]", "beta": "(0, 1]", "lam": "[0, inf)"}
+
+
+def _edges(interval):
+    """An interval's edges, each end itself if closed and the float next to
+    it inside if open, and the values just outside it: NaN, both infinities,
+    the float next to a closed finite end outside, and an open end itself."""
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    closed_lo, closed_hi = interval[0] == "[", interval[-1] == "]"
+    edges = [lo if closed_lo else float(np.nextafter(lo, np.inf)),
+             hi if closed_hi else float(np.nextafter(hi, -np.inf))]
+    outside = [float("nan"), float("inf"), -float("inf"),
+               float(np.nextafter(lo, -np.inf)) if closed_lo else lo]
+    if closed_hi:
+        outside.append(float(np.nextafter(hi, np.inf)))
+    return edges, outside
+
+
+@pytest.mark.parametrize("model, n_layers, field, value", [
+    (ModelClass.LEAKY_ESN, 1, "tau", 1.5),
+    (ModelClass.LEAKY_ESN, 1, "tau", 0.0),
+    (ModelClass.DEEP_ESN, 3, "inter_tau", float("nan")),
+    (ModelClass.RES_ESN_R, 1, "alpha", -0.1),
+    (ModelClass.DEEP_RES_ESN_C, 2, "inter_alpha", 1.2),
+    (ModelClass.RES_ESN_C, 1, "beta", 0.0),
+    (ModelClass.DEEP_RES_ESN_I, 2, "inter_beta", float("nan")),
+    (ModelClass.LEAKY_ESN, 1, "rho", float("nan")),
+    (ModelClass.RES_ESN_I, 1, "rho", 0.0),
+    (ModelClass.DEEP_ESN, 2, "inter_rho", -1.0),
+    (ModelClass.RES_ESN_C, 1, "omega_x", -0.5),
+    (ModelClass.DEEP_RES_ESN_R, 3, "inter_omega_x", float("nan")),
+    (ModelClass.LEAKY_ESN, 1, "omega_b", float("inf")),
+    (ModelClass.DEEP_RES_ESN_C, 2, "inter_omega_b", float("inf")),
 ])
-def test_config_names_the_mixing_field_it_refuses(model, n_layers, field, value, bounds):
+def test_config_names_the_mixing_field_it_refuses(model, n_layers, field, value):
+    # rho, the scalings and their inter_ twins used to pass the config and
+    # be refused only by the LayerConfig a trial builds, under its own names
     fields = {name: 0.5 for name in ExperimentConfig.optional_fields(model, n_layers)}
     fields[field] = value
     with pytest.raises(ValueError) as refused:
         ExperimentConfig(model_class=model, task="t", n_layers=n_layers, **fields)
-    assert str(refused.value) == f"{field} must lie in {bounds}, got {value}"
-    for edge in ([1.0] if bounds[0] == "(" else [0.0, 1.0]):
+    interval = INTERVALS[field.removeprefix("inter_")]
+    assert str(refused.value) == f"{field} must lie in {interval}, got {value}"
+    for edge in _edges(interval)[0]:
         fields[field] = edge
-        ExperimentConfig(model_class=model, task="t", n_layers=n_layers, **fields)
+        ExperimentConfig(model_class=model, task="t", n_layers=n_layers, **fields).layer_configs()
+
+
+@pytest.mark.parametrize("model, n_layers", SHAPES,
+                         ids=[f"{model.value}-{n}" for model, n in SHAPES])
+def test_config_holds_every_hyperparameter_to_its_interval(model, n_layers):
+    grid = HyperGrid()
+    rng = RngStream(SHAPES.index((model, n_layers)))
+    read = ["rho", "omega_x", "omega_b", "lam"] + ExperimentConfig.optional_fields(model, n_layers)
+    for _ in range(3):
+        base = {name: rng.choice(getattr(grid, name.removeprefix("inter_"))) for name in read}
+
+        def build(name, value):
+            return ExperimentConfig(model_class=model, task="t", n_layers=n_layers,
+                                    **dict(base, **{name: value}))
+
+        for name in read:
+            interval = INTERVALS[name.removeprefix("inter_")]
+            edges, outside = _edges(interval)
+            for value in outside:
+                with pytest.raises(ValueError) as refused:
+                    build(name, value)
+                assert str(refused.value) == f"{name} must lie in {interval}, got {value}"
+            for value in edges:
+                layers = build(name, value).layer_configs()
+                assert len(layers) == n_layers
+
+
+def test_each_model_class_is_one_row():
+    identity, cyclic = ResidualKind.IDENTITY, ResidualKind.CYCLIC
+    random = ResidualKind.RANDOM_ORTHOGONAL
+    rows = {model.value: (model.is_deep, model.is_leaky, model.residual_kind)
+            for model in ModelClass}
+    assert rows == {
+        "LeakyESN": (False, True, identity),
+        "ResESN_R": (False, False, random),
+        "ResESN_C": (False, False, cyclic),
+        "ResESN_I": (False, False, identity),
+        "DeepESN": (True, True, identity),
+        "DeepResESN_R": (True, False, random),
+        "DeepResESN_C": (True, False, cyclic),
+        "DeepResESN_I": (True, False, identity),
+    }
+    assert [ModelClass(value) for value in rows] == list(ModelClass)
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), -1.0])
 def test_config_refuses_a_lam_that_is_not_finite_and_non_negative(lam):
     with pytest.raises(ValueError) as refused:
         _leaky_config(lam=lam)
-    assert str(refused.value) == f"lam must be finite and >= 0, got {lam}"
+    assert str(refused.value) == f"lam must lie in [0, inf), got {lam}"
 
 
 def test_config_is_frozen():

@@ -74,6 +74,13 @@ def test_rng_same_seed_same_sequence():
     assert np.array_equal(a, b)
 
 
+def test_rng_refuses_a_negative_seed():
+    # numpy's seed sequence used to refuse it as "expected non-negative integer"
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        RngStream(-1)
+    assert RngStream(0).seed == 0
+
+
 def test_rng_child_reproducible_and_distinct():
     root = RngStream(7)
     c1 = root.child("weights").uniform(0, 1, 50)

@@ -185,12 +185,14 @@ def test_layer_config_validation():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("field,key", [("spectral_radius", "rho"), ("input_scaling", "wx"),
-                                       ("bias_scaling", "wb")])
-def test_layer_config_refuses_non_finite_hyperparameters(field, key, value):
+@pytest.mark.parametrize("field,key,interval", [("spectral_radius", "rho", "(0, inf)"),
+                                                ("input_scaling", "wx", "[0, inf)"),
+                                                ("bias_scaling", "wb", "[0, inf)")])
+def test_layer_config_refuses_non_finite_hyperparameters(field, key, interval, value):
     # NaN passes a `<= 0` check and inf passes both range checks
-    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+    with pytest.raises(ValueError) as refused:
         _config(**{key: value})
+    assert str(refused.value) == f"{field} must lie in {interval}, got {value}"
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +379,13 @@ def test_forward_rejects_wrong_number_of_initial_states():
     configs = [_config(kind=ResidualKind.CYCLIC), _config(kind=ResidualKind.CYCLIC)]
     deep = build_deep_reservoir(configs, 1, RngStream(60))
     for count in (1, 3):
-        with pytest.raises(ValueError, match=f"h0 has {count} initial states, the stack has 2"):
+        message = f"^h0 has {count} initial states, the stack has 2 layers$"
+        with pytest.raises(ValueError, match=message):
             forward(deep, np.zeros((5, 1)), h0=[np.zeros(10)] * count)
+        # run_states owns the rule: one state too few used to raise an
+        # IndexError there, and one too many was accepted
+        with pytest.raises(ValueError, match=message):
+            run_states([deep, deep], np.zeros((5, 1)), h0=[np.zeros(10)] * count)
 
 
 def test_step_chains_layers_like_forward():
