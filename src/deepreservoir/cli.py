@@ -19,11 +19,8 @@ from .harness import ExperimentConfig, HyperGrid, ModelClass
 from .numerics import RngStream
 from .reservoir import LayerConfig, ResidualKind, build_deep_reservoir
 
-_KINDS = {
-    "random": ResidualKind.RANDOM_ORTHOGONAL,
-    "cyclic": ResidualKind.CYCLIC,
-    "identity": ResidualKind.IDENTITY,
-}
+# --kind names a residual kind by the first word of its value
+_KINDS = {kind.value.split("_")[0]: kind for kind in ResidualKind}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -65,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100, help="configurations to sample")
     p.add_argument("--seeds", type=int, default=10, help="random initializations per config")
     p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
-    p.add_argument("--units", type=int, default=100)
-    p.add_argument("--washout", type=int, default=200)
+    p.add_argument("--units", type=int, default=ExperimentConfig.total_units)
+    p.add_argument("--washout", type=int, default=ExperimentConfig.washout)
     p.add_argument("--length", type=int, default=None)
     _add_common(p)
 
@@ -78,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="stability report for a sampled reservoir")
     _add_layer_args(p)
-    p.add_argument("--input-dim", type=int, default=1)
     _add_common(p)
 
     p = sub.add_parser("spectra", help="layer-wise frequency profile on the multisine probe")
@@ -89,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigen", help="per-layer Jacobian eigenvalues at a random probe point")
     _add_layer_args(p)
-    p.add_argument("--input-dim", type=int, default=1)
     _add_common(p)
 
     p = sub.add_parser("report", help="rebuild results.md from an emitted results.csv")
@@ -100,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _save_task(args, dataset, task_class: str) -> None:
     """Cache a make_task dataset under OUT/data/<task> with what regenerates it."""
     meta = {"generator": args.task, "seed": args.seed, "task_class": task_class,
-            "length": args.length or harness.TASK_SPECS[args.task]["length"]}
+            "length": dataset.n_samples}
     tasks.save_dataset(dataset, args.out / "data" / args.task, meta=meta)
 
 
@@ -151,7 +146,7 @@ def _cmd_run(args) -> None:
 
 def _cmd_stability(args) -> None:
     rng = RngStream(args.seed)
-    deep = build_deep_reservoir(_layer_configs_from_args(args), args.input_dim, rng)
+    deep = build_deep_reservoir(_layer_configs_from_args(args), 1, rng)
     report = stability.stability_report(deep)
     harness.emit_reports(args.out, stability_reports={"report": report.to_dict()})
     print(json.dumps(report.to_dict(), indent=2))
@@ -170,7 +165,7 @@ def _cmd_spectra(args) -> None:
 
 def _cmd_eigen(args) -> None:
     rng = RngStream(args.seed)
-    deep = build_deep_reservoir(_layer_configs_from_args(args), args.input_dim, rng)
+    deep = build_deep_reservoir(_layer_configs_from_args(args), 1, rng)
     h, x = stability.random_probe(deep, rng.child("probe"))
     eigs = stability.eigenspectrum_report(deep, h, x)
     harness.emit_reports(args.out, eigen={args.kind: eigs})

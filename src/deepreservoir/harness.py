@@ -128,6 +128,12 @@ class ExperimentConfig:
     config_id: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.concat, bool):
+            raise ValueError(f"concat must be a bool, got {self.concat!r}")
+        for name in ("total_units", "n_layers", "washout", "config_id"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # deep classes may run a single layer (they reduce to the shallow
         # models then), but shallow classes never stack
         if self.n_layers < 1:
@@ -225,8 +231,8 @@ class ResultsTable:
 
 
 def sample_config(grid: HyperGrid, model_class: ModelClass, task: str, task_class: str,
-                  rng: RngStream, total_units: int = 100, washout: int = 200,
-                  config_id: int = 0) -> ExperimentConfig:
+                  rng: RngStream, total_units: int = ExperimentConfig.total_units,
+                  washout: int = ExperimentConfig.washout, config_id: int = 0) -> ExperimentConfig:
     """Draw one configuration uniformly from the grid's candidate lists."""
     deep = model_class.is_deep
     kwargs: dict = {
@@ -405,8 +411,8 @@ def aggregate(trials: list[TrialResult]) -> ResultsTable:
 
 def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
                   task: str, task_class: str, budget: int, n_seeds: int,
-                  master_seed: int, jobs: int = 1, total_units: int = 100,
-                  washout: int = 200) -> tuple[ExperimentConfig, ResultsTable]:
+                  master_seed: int, jobs: int = 1, total_units: int = ExperimentConfig.total_units,
+                  washout: int = ExperimentConfig.washout) -> tuple[ExperimentConfig, ResultsTable]:
     """Uniform random search over the grid, selecting on seed-mean validation:
     highest accuracy on a classification dataset, lowest NRMSE otherwise.
 
@@ -420,6 +426,9 @@ def random_search(grid: HyperGrid, model_class: ModelClass, dataset: Dataset,
     if higher != (task_class == "classification"):
         raise ValueError(f"task class {task_class!r} contradicts the {dataset.kind} dataset")
     _scored_rows(dataset, washout)
+    if model_class.is_deep and True in grid.concat:
+        # any draw may be the grid's deepest concat stack, so refuse before drawing
+        allocate_units(total_units, max(grid.n_layers), True)
     sampler = RngStream(master_seed).child("sampler")
     configs = [
         sample_config(grid, model_class, task, task_class, sampler,
@@ -495,23 +504,21 @@ def make_task(name: str, seed: int, length: int | None = None) -> tuple[Dataset,
 
 def emit_reports(out_dir, table: ResultsTable | None = None, manifest: dict | None = None,
                  stability_reports: dict | None = None, spectra: dict | None = None,
-                 eigen: dict | None = None) -> list[Path]:
+                 eigen: dict | None = None) -> None:
     """Write search results and analysis dumps under out_dir.
 
     spectra maps name -> per-layer magnitude spectra, written as
     spectra/<name>.csv (layer, bin, magnitude) rows; eigen maps name ->
     per-layer eigenvalues, written as eigen/<name>.csv (re, im, layer) rows
     and eigen/<name>.json ({"layer_<l>": [[re, im], ...]}); layers count
-    from 1. stability_reports maps name -> dict. Returns the written paths.
+    from 1. stability_reports maps name -> dict.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
     def write(path: Path, text: str) -> None:
         path.parent.mkdir(exist_ok=True)
         path.write_text(text)
-        written.append(path)
 
     if table is not None:
         write(out / "results.csv", "\n".join(table.to_csv_lines()) + "\n")
@@ -537,7 +544,6 @@ def emit_reports(out_dir, table: ResultsTable | None = None, manifest: dict | No
         write(out / "eigen" / f"{name}.json", json.dumps(
             {f"layer_{l}": [[float(v.real), float(v.imag)] for v in eigs]
              for l, eigs in enumerate(per_layer, start=1)}))
-    return written
 
 
 def read_results_csv(path) -> list[dict]:

@@ -52,17 +52,16 @@ def predict(w_o: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 
 def nrmse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Root mean squared error normalized by the target's root mean square,
-    the convention the published per-task numbers follow. Multivariate
-    targets average the per-dimension score.
+    """Root mean squared error of (samples x outputs) predictions, normalized
+    by the target's root mean square, the convention the published per-task
+    numbers follow. Several outputs average the per-output score.
     """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
+    if pred.ndim != 2:
+        raise ValueError(f"nrmse expects (samples x outputs) arrays, got pred shape {pred.shape}")
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    if pred.ndim == 1:
-        pred = pred[:, None]
-        target = target[:, None]
     if pred.shape[0] < 2:
         raise ValueError("need at least two samples")
 

@@ -256,13 +256,13 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     """Run S reservoirs of one shape over a shared input and keep the
     states a readout needs: the one time loop.
 
-    The reservoirs must agree in every layer's size, alpha and beta, as the
-    seeds of one configuration do. A layer position whose residual matrices
-    are not all one permutation (1-unit random layers draw o = [1] or [-1])
-    runs the product with each reservoir's own o. inputs is (T, N_x), or
-    (T, B, N_x) for B equal-length sequences. Every reservoir starts from
-    zero, or from h0: one (N_l,) state per layer, which every reservoir and
-    sequence starts from.
+    The reservoirs must take N_x inputs and agree in every layer's size;
+    each runs with its own weights, alpha and beta. A layer position whose
+    residual matrices are not all one permutation (1-unit random layers
+    draw o = [1] or [-1]) runs the product with each reservoir's own o.
+    inputs is (T, N_x), or (T, B, N_x) for B equal-length sequences. Every
+    reservoir starts from zero, or from h0: one (N_l,) state per layer,
+    which every reservoir and sequence starts from.
 
     Returns per reservoir its states from step washout on, (T - washout, F)
     or (T - washout, B, F), the kept layers (all with concat, otherwise the
@@ -292,10 +292,12 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     t_total = inputs.shape[0]
     if t_total == 0:
         raise ValueError("input sequence is empty")
-    if inputs.shape[-1] != first.input_dim:
-        raise ValueError(
-            f"input dim {inputs.shape[-1]} does not match reservoir input {first.input_dim}"
-        )
+    for deep in reservoirs:
+        if inputs.shape[-1] != deep.input_dim:
+            raise ValueError(
+                f"input dim {inputs.shape[-1]} does not match reservoir input {deep.input_dim}")
+        if [l.size for l in deep.layers] != [l.size for l in first.layers]:
+            raise ValueError("reservoirs run together must share their layer sizes")
     if washout < 0:
         raise ValueError(f"washout must be >= 0, got {washout}")
     if washout >= t_total:
@@ -303,10 +305,6 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     if h0 is not None and len(h0) != first.n_layers:
         raise ValueError(f"h0 has {len(h0)} initial states, the stack has {first.n_layers} layers")
     _require_finite_inputs(inputs)
-    for deep in reservoirs[1:]:
-        if [(l.size, l.input_dim, l.alpha, l.beta) for l in deep.layers] != \
-                [(l.size, l.input_dim, l.alpha, l.beta) for l in first.layers]:
-            raise ValueError("reservoirs run together must share their layer shapes and mixing")
 
     count = len(reservoirs)
     seq = inputs.shape[1:-1]  # () for one sequence, (B,) for a batch

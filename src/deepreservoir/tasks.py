@@ -160,7 +160,7 @@ def gen_ctxor(t_steps: int, d: int, p: float, rng: RngStream) -> Dataset:
         raise ValueError("nonlinearity power must be >= 1")
     x = rng.uniform(-0.8, 0.8, t_steps)
     y = ctxor_targets(x, d, p)
-    return Dataset(inputs=x[:, None], targets=y[:, None], kind="regression")
+    return Dataset(inputs=x, targets=y, kind="regression")
 
 
 def sinmem_targets(x: np.ndarray, d: int) -> np.ndarray:
@@ -175,7 +175,7 @@ def gen_sinmem(t_steps: int, d: int, rng: RngStream) -> Dataset:
         raise ValueError("series length must exceed the delay")
     x = rng.uniform(-0.8, 0.8, t_steps)
     y = sinmem_targets(x, d)
-    return Dataset(inputs=x[:, None], targets=y[:, None], kind="regression")
+    return Dataset(inputs=x, targets=y, kind="regression")
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +223,9 @@ def gen_lorenz96(t_steps: int, horizon: int, rng: RngStream) -> Dataset:
     return Dataset(inputs=inputs, targets=targets, kind="regression")
 
 
-def mackey_glass_series(n_units: int, delay: int = 17, dt: float = 0.1,
-                        transient: int = 1000, initial: float = 1.2) -> np.ndarray:
-    """Delay-differential oscillator sampled at unit time spacing.
+def mackey_glass_series(n_units: int, dt: float = 0.1, transient: int = 1000,
+                        initial: float = 1.2) -> np.ndarray:
+    """Delay-differential oscillator, delay 17, sampled at unit time spacing.
 
     Euler integration with step dt and a constant initial history; every
     round(1/dt)-th step is kept, so samples lie one time unit apart.
@@ -233,9 +233,9 @@ def mackey_glass_series(n_units: int, delay: int = 17, dt: float = 0.1,
     if dt <= 0:
         raise ValueError("dt must be positive")
     steps_per_unit = int(round(1.0 / dt))
-    delay_steps = delay * steps_per_unit
-    if abs(delay / dt - delay_steps) > 1e-9:
-        raise ValueError("delay must be an integer number of dt steps")
+    delay_steps = 17 * steps_per_unit
+    if abs(17 / dt - delay_steps) > 1e-9:
+        raise ValueError("the delay of 17 must be an integer number of dt steps")
 
     n_steps = (transient + n_units) * steps_per_unit
     f = np.empty(n_steps + 1)
@@ -253,8 +253,7 @@ def mackey_glass_series(n_units: int, delay: int = 17, dt: float = 0.1,
 def gen_mackey_glass(t_steps: int, horizon: int) -> Dataset:
     """Forecast the oscillator horizon units ahead: input f(t), target f(t + h)."""
     series = mackey_glass_series(t_steps + horizon)
-    return Dataset(inputs=series[:t_steps, None],
-                   targets=series[horizon:horizon + t_steps, None],
+    return Dataset(inputs=series[:t_steps], targets=series[horizon:horizon + t_steps],
                    kind="regression")
 
 
@@ -295,7 +294,7 @@ def gen_narma(t_steps: int, d: int, rng: RngStream) -> Dataset:
             y = narma_targets(x, d)
         except GenerationError:
             continue
-        return Dataset(inputs=x[:, None], targets=y[:, None], kind="regression")
+        return Dataset(inputs=x, targets=y, kind="regression")
     raise GenerationError(f"recurrence diverged in {_NARMA_ATTEMPTS} consecutive draws")
 
 

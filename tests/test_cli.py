@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from deepreservoir.cli import main
+from deepreservoir.cli import build_parser, main
 from deepreservoir.harness import ExperimentConfig, ModelClass
 from deepreservoir.tasks import load_dataset
 
@@ -83,6 +86,27 @@ def test_run_refuses_a_nan_lam_before_any_trial(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {"error": "ValueError", "message": "lam must lie in [0, inf), got nan"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("written, mistyped, message", [
+    ('"concat": false', '"concat": "false"', "concat must be a bool, got 'false'"),
+    ('"n_layers": 1', '"n_layers": 2.0', "n_layers must be an integer, got 2.0"),
+    ('"config_id": 0', '"config_id": 1.5', "config_id must be an integer, got 1.5"),
+    ('"washout": 50', '"washout": true', "washout must be an integer, got True"),
+])
+def test_run_refuses_a_mistyped_config_field_before_any_trial(tmp_path, capsys, written,
+                                                              mistyped, message):
+    # a "false" string used to run, and record, a concat stack
+    cfg = ExperimentConfig(model_class=ModelClass.LEAKY_ESN, task="sinmem10",
+                           total_units=10, tau=0.5, washout=50)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()).replace(written, mistyped))
+    rc = main(["run", "--config", str(cfg_path), "--seeds", "1", "--length", "600",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": message}
     assert not (tmp_path / "out").exists()
 
 
@@ -255,3 +279,33 @@ def test_negative_seed_is_refused_by_name(tmp_path, capsys, command, args):
 def test_cli_rejects_unknown_task(capsys):
     with pytest.raises(SystemExit):
         main(["generate-data", "--task", "not-a-task"])
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unset_options(parser: argparse.ArgumentParser, texts: list[str]) -> list[str]:
+    """The options of parser's commands that no text sets: "--seed" is set
+    by a text that holds it as a whole word, and "--seeds" does not set it."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {option for command in commands.choices.values() for action in command._actions
+               for option in action.option_strings if option not in ("-h", "--help")}
+    words = {option: re.compile(rf"(?<![\w-]){re.escape(option)}(?![\w-])") for option in options}
+    return sorted(option for option, word in words.items()
+                  if not any(word.search(text) for text in texts))
+
+
+def test_every_cli_option_is_set_by_a_test_the_readme_or_the_benchmark():
+    paths = [ROOT / "README.md", *(ROOT / "tests").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    unset = _unset_options(build_parser(), [path.read_text() for path in paths])
+    assert not unset, f"no test, README line or benchmark script sets {', '.join(unset)}"
+
+
+def test_the_check_sees_an_unset_option():
+    parser = argparse.ArgumentParser()
+    commands = parser.add_subparsers()
+    commands.add_parser("a").add_argument("--depth")
+    b = commands.add_parser("b")
+    b.add_argument("--width")
+    b.add_argument("--widths")
+    assert _unset_options(parser, ["a --depth 2", "b --widths 3"]) == ["--width"]

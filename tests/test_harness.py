@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,13 @@ def test_config_validation():
                          tau=0.5)
     with pytest.raises(ValueError, match="washout must be >= 0, got -5$"):
         _leaky_config(washout=-5)
+    # a JSON config can hold any type; a truthy string used to run as concat
+    for field, value, kind in [("concat", "false", "a bool"), ("concat", 1, "a bool"),
+                               ("n_layers", 2.0, "an integer"), ("total_units", "30", "an integer"),
+                               ("total_units", True, "an integer"), ("washout", True, "an integer"),
+                               ("config_id", 1.5, "an integer")]:
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {kind}, got {value!r}")):
+            _leaky_config(**{field: value})
     with pytest.raises(ValueError, match="cannot split 3 units across 4 layers"):
         ExperimentConfig(model_class=ModelClass.DEEP_RES_ESN_C, task="t",
                          total_units=3, n_layers=4, concat=True, alpha=0.5, beta=0.5,
@@ -274,7 +282,11 @@ def test_config_is_frozen():
     (ModelClass.LEAKY_ESN, dict(washout=-5), "washout must be >= 0, got -5$"),
     (ModelClass.DEEP_RES_ESN_C, dict(total_units=3, master_seed=3),
      "cannot split 3 units across 5 layers"),
-], ids=["negative-washout", "unsplittable-budget"])
+    # refused whether or not the draw holds a stack too deep for the units
+    *[(ModelClass.DEEP_RES_ESN_C, dict(total_units=4, budget=2, master_seed=seed),
+       "cannot split 4 units across 5 layers") for seed in range(6)],
+], ids=["negative-washout", "unsplittable-budget",
+        *[f"unsplittable-budget-seed{seed}" for seed in range(6)]])
 def test_search_refuses_a_bad_config_before_any_trial(model, kwargs, message, monkeypatch):
     def no_trial(*args):
         raise AssertionError("a trial ran")
@@ -877,11 +889,11 @@ def test_search_rejects_fewer_than_one_job(jobs, monkeypatch):
 
 def test_emit_empty_results_header_only(tmp_path):
     table = ResultsTable(rows=[])
-    written = emit_reports(tmp_path, table=table)
+    emit_reports(tmp_path, table=table)
     csv = (tmp_path / "results.csv").read_text().strip().splitlines()
     assert csv == ["config_id,val_mean,val_std,test_mean,test_std,n_seeds,n_failed"]
     assert (tmp_path / "results.md").exists()
-    assert len(written) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv", "results.md"]
 
 
 def test_emitted_csv_roundtrips(tmp_path):
@@ -908,7 +920,7 @@ def test_manifest_contains_every_sampled_hyperparameter(tmp_path):
 
 def test_emit_analysis_artifacts(tmp_path):
     import json
-    written = emit_reports(
+    emit_reports(
         tmp_path,
         stability_reports={"cfg0": {"global_rho": 0.9}},
         spectra={"identity": [np.array([1.0, 0.5]), np.array([0.25, 1.0])]},
@@ -922,7 +934,8 @@ def test_emit_analysis_artifacts(tmp_path):
                          "0.5,0,2", "-0.29999999999999999,0,2"]
     eigen_json = json.loads((tmp_path / "eigen" / "probe.json").read_text())
     assert eigen_json == {"layer_1": [[0.1, -0.2]], "layer_2": [[0.5, 0.0], [-0.3, 0.0]]}
-    assert len(written) == 4
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()) == [
+        "eigen/probe.csv", "eigen/probe.json", "spectra/identity.csv", "stability/cfg0.json"]
 
 
 def test_eigen_files_do_not_depend_on_eigenvalue_order(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,13 +71,13 @@ def test_feature_scaling_invariance():
 
 
 def test_nrmse_zero_for_perfect_prediction():
-    target = RngStream(7).uniform(-1, 1, 50)
+    target = RngStream(7).uniform(-1, 1, (50, 1))
     assert nrmse(target, target) == 0.0
 
 
 def test_nrmse_one_for_zero_prediction():
-    target = RngStream(8).uniform(-1, 1, 100)
-    assert nrmse(np.zeros(100), target) == pytest.approx(1.0, abs=1e-12)
+    target = RngStream(8).uniform(-1, 1, (100, 1))
+    assert nrmse(np.zeros((100, 1)), target) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nrmse_matches_hand_computation():
@@ -83,27 +85,27 @@ def test_nrmse_matches_hand_computation():
     target = np.array([0.0, 0.5, -0.1, 1.0, 1.0, -0.4, 0.2, 0.1, 0.8, 0.0])
     rmse = np.sqrt(sum((p - t) ** 2 for p, t in zip(pred, target)) / 10.0)
     rms = np.sqrt(sum(t * t for t in target) / 10.0)
-    assert abs(nrmse(pred, target) - rmse / rms) < 1e-12
+    assert abs(nrmse(pred[:, None], target[:, None]) - rmse / rms) < 1e-12
 
 
 def test_nrmse_multivariate_averages_dimensions():
     rng = RngStream(9)
     pred = rng.uniform(-1, 1, (40, 2))
     target = rng.uniform(-1, 1, (40, 2))
-    per_dim = [nrmse(pred[:, d], target[:, d]) for d in range(2)]
+    per_dim = [nrmse(pred[:, [d]], target[:, [d]]) for d in range(2)]
     assert nrmse(pred, target) == pytest.approx(np.mean(per_dim), abs=1e-12)
 
 
 def test_nrmse_scale_invariance():
     rng = RngStream(10)
-    pred = rng.uniform(-1, 1, 60)
-    target = rng.uniform(-1, 1, 60)
+    pred = rng.uniform(-1, 1, (60, 1))
+    target = rng.uniform(-1, 1, (60, 1))
     assert nrmse(3.7 * pred, 3.7 * target) == pytest.approx(nrmse(pred, target), rel=1e-12)
 
 
 def test_nrmse_zero_target_rejected():
     with pytest.raises(ValueError, match="target is all zero"):
-        nrmse(np.ones(10), np.zeros(10))
+        nrmse(np.ones((10, 1)), np.zeros((10, 1)))
 
 
 def test_nrmse_rms_normalizer():
@@ -111,7 +113,15 @@ def test_nrmse_rms_normalizer():
     pred = np.array([-2.0, -1.0, -3.0, -2.5])
     target = np.full(4, -2.0)
     rmse = np.sqrt(np.mean((pred - target) ** 2))
-    assert nrmse(pred, target) == pytest.approx(rmse / 2.0, rel=1e-12)
+    assert nrmse(pred[:, None], target[:, None]) == pytest.approx(rmse / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(10,), (10, 1, 1)])
+def test_nrmse_refuses_arrays_that_are_not_samples_by_outputs(shape):
+    # a 1-D pair used to be read as one output
+    with pytest.raises(ValueError, match=rf"^nrmse expects \(samples x outputs\) arrays, "
+                                         rf"got pred shape {re.escape(str(shape))}$"):
+        nrmse(np.ones(shape), np.ones(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,29 @@ def test_run_states_stack_equals_each_reservoir_alone(kind):
             assert np.array_equal(got, alone[0])
 
 
+@pytest.mark.parametrize("kind", list(ResidualKind))
+@pytest.mark.parametrize("concat", [False, True])
+def test_run_states_stack_of_mixed_hyperparameters_equals_each_reservoir_alone(kind, concat):
+    # reservoirs of one shape that differ in every hyperparameter but their
+    # sizes run together, over one sequence, a batch of 7 and a batch wider
+    # than a chunk
+    hp = [dict(rho=0.8, wx=1.0, wb=0.0, alpha=0.2, beta=0.7),
+          dict(rho=1.1, wx=0.3, wb=0.5, alpha=0.9, beta=0.1),
+          dict(rho=0.5, wx=2.0, wb=1.0, alpha=0.0, beta=1.0)]
+    deeps = [build_deep_reservoir([_config(n=n, kind=kind, **h) for n in (9, 6, 6)], 2,
+                                  RngStream(seed), concat=concat)
+             for seed, h in zip((90, 91, 92), hp)]
+    rng = RngStream(93)
+    for inputs, washout in ((rng.uniform(-1, 1, (CHUNK + 9, 2)), 5),
+                            (rng.uniform(-1, 1, (40, 7, 2)), 3),
+                            (rng.uniform(-1, 1, (12, CHUNK + 44, 2)), 2)):
+        together, errors = run_states(deeps, inputs, washout, concat)
+        assert errors == [None] * 3
+        for deep, got in zip(deeps, together):
+            alone, _ = run_states([deep], inputs, washout, concat)
+            assert np.array_equal(got, alone[0])
+
+
 def test_run_states_prefix_is_bit_identical():
     # every chunk's drive product spans the whole chunk, so a step's state
     # does not depend on where the sequence ends
@@ -500,10 +523,11 @@ def test_run_states_names_non_finite_input_of_a_batch():
 def test_run_states_rejects_reservoirs_of_different_shapes():
     a = build_deep_reservoir([_config(n=10)], 1, RngStream(85))
     b = build_deep_reservoir([_config(n=11)], 1, RngStream(86))
-    c = build_deep_reservoir([_config(n=10, alpha=0.3)], 1, RngStream(87))
-    for other in (b, c):
-        with pytest.raises(ValueError, match="share"):
-            run_states([a, other], np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="must share their layer sizes$"):
+        run_states([a, b], np.zeros((5, 1)))
+    c = build_deep_reservoir([_config(n=10)], 2, RngStream(87))
+    with pytest.raises(ValueError, match="input dim 1 does not match reservoir input 2$"):
+        run_states([a, c], np.zeros((5, 1)))
 
 
 # ---------------------------------------------------------------------------
