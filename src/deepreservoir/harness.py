@@ -315,6 +315,13 @@ def _scored_rows(dataset: Dataset, washout: int) -> list[np.ndarray]:
     return rows
 
 
+def _one_run(rows: np.ndarray) -> slice | np.ndarray:
+    """Rows that are one run of consecutive steps, as every regression split
+    part is, as a slice, which reads a view of a seed's states, not a copy;
+    any other rows as they are."""
+    return slice(rows[0], rows[-1] + 1) if np.all(np.diff(rows) == 1) else rows
+
+
 def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> list[TrialResult]:
     """Build, run, fit, and score one configuration for each of its seeds.
 
@@ -339,8 +346,8 @@ def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> 
     else:
         feats, errors = _last_state_features(deeps, dataset.inputs, config.concat)
         first, targets, metric = 0, one_hot(dataset.targets, dataset.n_classes), accuracy
-    fit_rows, fit_targets = train - first, targets[train]
-    scored = [(rows - first, dataset.targets[rows]) for rows in (val_rows, test_rows)]
+    fit_rows, fit_targets = _one_run(train - first), targets[train]
+    scored = [(_one_run(rows - first), dataset.targets[rows]) for rows in (val_rows, test_rows)]
     outcomes = []
     for seed, seed_feats, error in zip(seeds, feats, errors):
         val = test = float("nan")

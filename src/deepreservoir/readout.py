@@ -18,7 +18,8 @@ def fit(features: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> np.ndarr
 
     Solved through the SVD of the features with per-singular-value filter
     sigma / (sigma^2 + lam); lam = 0 falls back to the pseudo-inverse with a
-    relative cutoff.
+    relative cutoff. A tall block is first reduced to the R of its QR, and Q
+    reaches the targets as Householder reflectors, never formed.
     """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -31,8 +32,30 @@ def fit(features: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> np.ndarr
         raise ValueError("fit needs at least one sample")
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"ridge penalty must be finite and >= 0, got {lam}")
+    for name, block in (("features", features), ("targets", targets)):
+        if not np.isfinite(block).all():
+            row = np.argmin(np.isfinite(block).all(axis=1))
+            raise ValueError(f"{name} hold a non-finite value at row {row}")
 
-    u, s, vt = np.linalg.svd(features, full_matrices=False)
+    rows, cols = features.shape
+    # LAPACK's dgesdd takes a block of at least MNTHR = INT(cols*11/6) rows
+    # through a QR, then the SVD of R. That QR taken here gives the same s
+    # and vt bit for bit, without forming Q or U: h.T holds R on and above
+    # its diagonal and the reflectors H_j = I - tau_j v_j v_j.T below it, and
+    # H_0 ... H_{cols-1} = I - V T V.T with T = (I + diag(tau) striu(V.T V))^-1
+    # diag(tau) (the UT transform, which a tau of 0 leaves well defined).
+    if rows >= int(cols * 11 / 6):
+        h, tau = np.linalg.qr(features, mode="raw")
+        top, tail = h.T[:cols], h.T[cols:]
+        r, v_top = np.triu(top), np.tril(top, -1) + np.eye(cols)  # V = [v_top; tail]
+        unit = np.eye(cols) + tau[:, None] * np.triu(v_top.T @ v_top + tail.T @ tail, 1)
+        vty = v_top.T @ targets[:cols] + tail.T @ targets[cols:]
+        qty = targets[:cols] - v_top @ (tau[:, None] * np.linalg.solve(unit.T, vty))
+        u, s, vt = np.linalg.svd(r)
+        uty = u.T @ qty  # qty is the first cols rows of Q.T targets
+    else:
+        u, s, vt = np.linalg.svd(features, full_matrices=False)
+        uty = u.T @ targets
     if lam == 0.0:
         keep = s > RIDGE_CUTOFF * (s[0] if s.size else 0.0)
         filt = np.zeros_like(s)
@@ -40,7 +63,7 @@ def fit(features: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> np.ndarr
     else:
         filt = s / (s * s + lam)
     # W_o.T = V diag(filt) U.T targets
-    return (vt.T @ (filt[:, None] * (u.T @ targets))).T
+    return (vt.T @ (filt[:, None] * uty)).T
 
 
 def predict(w_o: np.ndarray, features: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ generic O is the shallow residual network.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,11 @@ INTERVALS = {"spectral_radius": "(0, inf)", "input_scaling": "[0, inf)",
 
 
 def require_in(name: str, value: float, interval: str) -> None:
-    """Refuse a value outside an interval written as "(lo, hi]" and the like,
-    naming the field and the value; NaN lies in no interval."""
+    """Refuse a value that is not a real number, or one outside an interval
+    written as "(lo, hi]" and the like, naming the field and the value; NaN
+    lies in no interval."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     lo, hi = (float(end) for end in interval[1:-1].split(", "))
     if not ((lo <= value if interval[0] == "[" else lo < value)
             and (value <= hi if interval[-1] == "]" else value < hi)):

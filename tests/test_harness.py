@@ -221,6 +221,24 @@ def test_config_names_the_mixing_field_it_refuses(model, n_layers, field, value)
         ExperimentConfig(model_class=model, task="t", n_layers=n_layers, **fields).layer_configs()
 
 
+@pytest.mark.parametrize("model, n_layers, field, value", [
+    (ModelClass.LEAKY_ESN, 1, "rho", "0.9"),
+    (ModelClass.LEAKY_ESN, 1, "lam", "0"),
+    (ModelClass.LEAKY_ESN, 1, "tau", [0.5]),
+    (ModelClass.DEEP_RES_ESN_C, 2, "inter_alpha", "1"),
+    (ModelClass.RES_ESN_R, 1, "omega_x", True),
+    (ModelClass.DEEP_ESN, 3, "inter_omega_b", complex(0.5, 0.0)),
+])
+def test_config_names_a_hyperparameter_that_is_not_a_real_number(model, n_layers, field, value):
+    # these used to fail comparing against the interval, with a message
+    # such as "'<' not supported between instances of 'float' and 'str'"
+    fields = {name: 0.5 for name in ExperimentConfig.optional_fields(model, n_layers)}
+    fields[field] = value
+    with pytest.raises(ValueError) as refused:
+        ExperimentConfig(model_class=model, task="t", n_layers=n_layers, **fields)
+    assert str(refused.value) == f"{field} must be a real number, got {value!r}"
+
+
 @pytest.mark.parametrize("model, n_layers", SHAPES,
                          ids=[f"{model.value}-{n}" for model, n in SHAPES])
 def test_config_holds_every_hyperparameter_to_its_interval(model, n_layers):
@@ -566,6 +584,27 @@ def test_run_config_rejects_no_seeds():
     ds, _ = _tiny_task()
     with pytest.raises(ValueError, match="no seeds to run"):
         harness.run_config(_leaky_config(), ds, [])
+
+
+def test_run_config_hands_a_run_of_rows_on_as_a_view(monkeypatch):
+    # a regression split is one run of steps, so fit and predict read views
+    # of each seed's states; rows that are not one run are copied out
+    ds, _ = _tiny_task()
+    fit, predict = harness.fit, harness.predict
+    copied = []
+    monkeypatch.setattr(harness, "fit",
+                        lambda f, *args: copied.append(f.flags.owndata) or fit(f, *args))
+    monkeypatch.setattr(harness, "predict",
+                        lambda w, f: copied.append(f.flags.owndata) or predict(w, f))
+    one_run = harness.run_config(_leaky_config(), ds, [1, 2])
+    assert copied == [False] * 6
+    copied.clear()
+    sp = ds.split
+    gapped = dataclasses.replace(ds, split=Split(np.delete(sp.train, 100), sp.val, sp.test))
+    gapped_trial, = harness.run_config(_leaky_config(), gapped, [1])
+    assert copied == [True, False, False]
+    assert gapped_trial.val_metric != one_run[0].val_metric
+    assert np.isfinite(gapped_trial.val_metric)
 
 
 def test_non_finite_input_names_its_dataset_sequence():

@@ -3,8 +3,11 @@ import re
 import numpy as np
 import pytest
 
+from deepreservoir import harness
+from deepreservoir.harness import HyperGrid, ModelClass
 from deepreservoir.numerics import RngStream
-from deepreservoir.readout import accuracy, fit, nrmse, one_hot, predict
+from deepreservoir.readout import RIDGE_CUTOFF, accuracy, fit, nrmse, one_hot, predict
+from deepreservoir.reservoir import build_deep_reservoir, run_states
 
 
 def test_fit_recovers_exact_linear_map():
@@ -64,6 +67,153 @@ def test_feature_scaling_invariance():
     m1 = fit(features, targets, 0.0)
     m2 = fit(c * features, targets, 0.0)
     assert np.max(np.abs(predict(m1, features) - predict(m2, c * features))) < 1e-9
+
+
+@pytest.mark.parametrize("bad, at", [("features", 3), ("targets", 0), ("features", 59)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rows", [60, 400])
+def test_fit_refuses_a_non_finite_value_by_row(rows, value, bad, at):
+    # a NaN feature used to fail as "SVD did not converge" and an inf target
+    # to give NaN weights; both are refused before any factorization
+    rng = RngStream(13)
+    block = {"features": rng.uniform(-1, 1, (rows, 20)), "targets": rng.uniform(-1, 1, (rows, 2))}
+    block[bad][at, 1] = value
+    with pytest.raises(ValueError, match=rf"^{bad} hold a non-finite value at row {at}$"):
+        fit(block["features"], block["targets"], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the QR route: a block with at least int(cols * 11 / 6) rows is reduced to
+# the R of its QR, as LAPACK's dgesdd reduces it, and Q is never formed
+
+
+def _svd_calls(monkeypatch) -> list:
+    """Record the matrix and the result of every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        calls.append((np.array(a), out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def _svd_solve(features, targets, lam):
+    """The ridge weights written out from the features' own SVD."""
+    u, s, vt = np.linalg.svd(features, full_matrices=False)
+    if lam == 0.0:
+        filt = np.where(s > RIDGE_CUTOFF * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    else:
+        filt = s / (s * s + lam)
+    return (vt.T @ (filt[:, None] * (u.T @ targets))).T
+
+
+@pytest.mark.parametrize("rows", [183, 184, 3800])
+def test_tall_block_takes_the_singular_values_of_its_r_bit_for_bit(monkeypatch, rows):
+    # 183 = int(100 * 11 / 6) is the first block dgesdd itself reduces by QR
+    for seed in range(3):
+        rng = RngStream(seed)
+        # column scales from 1 down to 1e-11 make the block ill-conditioned
+        features = rng.uniform(-1, 1, (rows, 100)) * np.logspace(0, -11 * (seed > 0), 100)
+        _, s, vt = np.linalg.svd(features, full_matrices=False)
+        calls = _svd_calls(monkeypatch)
+        fit(features, rng.uniform(-1, 1, (rows, 1)), 0.0)
+        (r, (_, s_r, vt_r)), = calls
+        assert r.shape == (100, 100) and np.array_equal(r, np.triu(r))
+        assert np.array_equal(s_r, s) and np.array_equal(vt_r, vt)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("rows", [150, 182])
+def test_block_below_lapacks_threshold_keeps_the_svd_of_the_features(monkeypatch, rows):
+    # there dgesdd bidiagonalizes the block itself, so a QR first would
+    # change s and vt
+    for seed in range(3):
+        rng = RngStream(seed)
+        features = rng.uniform(-1, 1, (rows, 100))
+        calls = _svd_calls(monkeypatch)
+        fit(features, rng.uniform(-1, 1, (rows, 1)), 0.0)
+        (seen, _), = calls
+        assert np.array_equal(seen, features)
+        monkeypatch.undo()
+
+
+def test_tall_block_ridge_matches_the_svd_solve_with_a_penalty():
+    for seed in range(4):
+        rng = RngStream(seed)
+        rows = (183, 400, 3800, 500)[seed]
+        features = rng.uniform(-1, 1, (rows, 100))
+        targets = rng.uniform(-1, 1, (rows, 2))
+        for lam in (1e-6, 0.1, 10.0):
+            w_o = fit(features, targets, lam)
+            want = _svd_solve(features, targets, lam)
+            assert np.max(np.abs(w_o - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_tall_rank_deficient_block_drops_the_same_singular_values(monkeypatch):
+    # duplicated columns give singular values at rounding level, which the
+    # lam = 0 cutoff drops on both routes: the minimum-norm solution then
+    # splits a weight evenly between a column and its copy; a zero column
+    # (a reflector with tau = 0) gets no weight
+    for seed in range(4):
+        rng = RngStream(seed)
+        base = rng.uniform(-1, 1, (800, 60))
+        copies = rng.permutation(60)[:39]
+        features = np.hstack([base, base[:, copies], np.zeros((800, 1))])
+        targets = rng.uniform(-1, 1, (800, 1))
+        s = np.linalg.svd(features, full_matrices=False)[1]
+        calls = _svd_calls(monkeypatch)
+        w_o = fit(features, targets, 0.0)
+        (_, (_, s_r, _)), = calls
+        monkeypatch.undo()
+        assert np.array_equal(s_r, s)
+        assert np.sum(s > RIDGE_CUTOFF * s[0]) == 60
+        want = (np.linalg.pinv(features, rcond=RIDGE_CUTOFF) @ targets).T
+        assert np.max(np.abs(w_o - want)) < 1e-10
+        assert np.max(np.abs(w_o[0, copies] - w_o[0, 60:99])) < 1e-10
+        assert w_o[0, 99] == 0.0
+
+
+def test_tall_block_fits_many_outputs_as_one_each():
+    # lz25's readout: 200 train rows past the washout, 25 outputs
+    for seed in range(3):
+        rng = RngStream(seed)
+        features = rng.uniform(-1, 1, (200, 100))
+        targets = rng.uniform(-1, 1, (200, 25))
+        for lam in (0.0, 0.1):
+            w_o = fit(features, targets, lam)
+            assert w_o.shape == (25, 100)
+            each = np.vstack([fit(features, targets[:, [d]], lam) for d in range(25)])
+            assert np.max(np.abs(w_o - each)) < 1e-12
+            assert np.max(np.abs(w_o - _svd_solve(features, targets, lam))) < 1e-10
+
+
+def test_ill_conditioned_readout_scores_as_the_pseudo_inverse_does():
+    # the narma30 benchmark's first trial (master seed 2027, config 0, seed
+    # index 0): bench/run.py holds its scores to a np.linalg.pinv solve at
+    # 1e-6 relative, and this holds them at 1e-7; a QR solve that does not
+    # round as the SVD does is 4e-7 to 2.6e-6 away on these blocks
+    for data_seed in (1, 2, 3, 4):
+        dataset, task_class = harness.make_task("narma30", data_seed)
+        config = harness.sample_config(HyperGrid(), ModelClass.DEEP_RES_ESN_C, "narma30",
+                                       task_class, RngStream(2027).child("sampler"))
+        deep = build_deep_reservoir(config.layer_configs(), dataset.input_dim,
+                                    RngStream(harness.trial_seed(2027, 0, 0)),
+                                    concat=config.concat)
+        (states,), _ = run_states([deep], dataset.inputs, config.washout, config.concat)
+        sp, first = dataset.split, config.washout
+        train = sp.train[sp.train >= first]
+        features, targets = states[train - first], dataset.targets[train]
+        assert np.linalg.cond(features) >= 1e11
+        w_o = fit(features, targets, 0.0)
+        w_ref = (np.linalg.pinv(features, rcond=RIDGE_CUTOFF) @ targets).T
+        for rows in (sp.val, sp.test):
+            got, want = (nrmse(predict(w, states[rows - first]), dataset.targets[rows])
+                         for w in (w_o, w_ref))
+            assert abs(got - want) <= 1e-7 * want
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,16 @@ def test_layer_config_refuses_non_finite_hyperparameters(field, key, interval, v
     assert str(refused.value) == f"{field} must lie in {interval}, got {value}"
 
 
+@pytest.mark.parametrize("field,key,value", [("spectral_radius", "rho", "0.9"),
+                                             ("alpha", "alpha", [0.5]),
+                                             ("beta", "beta", None),
+                                             ("bias_scaling", "wb", False)])
+def test_layer_config_refuses_a_hyperparameter_that_is_not_a_real_number(field, key, value):
+    with pytest.raises(ValueError) as refused:
+        _config(**{key: value})
+    assert str(refused.value) == f"{field} must be a real number, got {value!r}"
+
+
 # ---------------------------------------------------------------------------
 # step on a one-layer stack
 
