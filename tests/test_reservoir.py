@@ -628,6 +628,37 @@ def test_run_states_gives_the_same_bits_however_layers_are_grouped(kind, monkeyp
         assert np.array_equal(one, all_)
 
 
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("budget, calls", [
+    pytest.param(None, (2159, 713), id="groups-c,c-r-i,i"),
+    pytest.param(0, (2745, 905), id="one-group-per-layer")])
+def test_run_states_splits_groups_where_the_residual_kind_changes(batch, budget, calls,
+                                                                  monkeypatch):
+    # 20-unit layers whose kind changes twice; a budget of 0 bytes cuts the
+    # cyclic and the identity pair as well
+    kinds = [ResidualKind.CYCLIC] * 2 + [ResidualKind.RANDOM_ORTHOGONAL]
+    kinds += [ResidualKind.IDENTITY] * 2
+    deeps = [build_deep_reservoir([_config(n=20, kind=kind) for kind in kinds], 1, RngStream(seed))
+             for seed in (106, 107, 108)]
+    if batch:
+        t_total, washout = 2 * (CHUNK // 3) + 11, CHUNK // 3 + 4
+        inputs = RngStream(109).uniform(-1, 1, (t_total, 3, 1))
+    else:
+        t_total, washout = 2 * CHUNK + 37, CHUNK + 5
+        inputs = RngStream(109).uniform(-1, 1, (t_total, 1))
+    if budget is not None:
+        monkeypatch.setattr(reservoir, "_GROUP_BYTES", budget)
+    counted = _count_updates(monkeypatch)
+    states, errors = run_states(deeps, inputs, washout)
+    assert errors == [None] * 3
+    assert len(counted) == calls[batch]
+    for deep, got in zip(deeps, states):
+        alone, alone_errors = run_states([deep], inputs, washout)
+        assert alone_errors == [None]
+        assert np.array_equal(got, alone[0])
+        assert np.array_equal(got, np.concatenate(_layer_by_layer(deep, inputs), axis=-1)[washout:])
+
+
 def test_run_states_reports_the_earliest_chunk_first_across_the_skew(monkeypatch):
     # seed 0 turns non-finite in layer 3 at chunk 0 (a NaN bias) and in
     # layer 1 at chunk 2 (an infinite bias meets an input product that
