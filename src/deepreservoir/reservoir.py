@@ -275,21 +275,20 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     earliest step). A reservoir's states and message are bit-identical to
     those of a run on its own.
 
-    Time advances in chunks of _CHUNK steps (_CHUNK // B with a batch).
-    Adjacent layer positions of one size and residual handling form a
-    group, its weights over all S reservoirs stacked as K slices, while one
-    step reads at most _GROUP_BYTES. In a group the layers run one chunk
-    apart, each on the chunk the layer below ran in the tick before; a
-    group's first layer runs the chunk the group below runs in the same
-    tick. Each tick runs the groups from the bottom up. A group first fills
-    each running layer's chunk buffer with its input drive, one product per
-    layer and reservoir, from its top layer down, so that a layer reads the
-    states below it before their next drive overwrites them; a product
+    Time advances in chunks of _CHUNK steps (_CHUNK // B with a batch),
+    and in tick k layer l runs chunk k - l. A tick first fills the chunk
+    buffer of every running layer with its input drive, one product over
+    all S reservoirs per layer, from the top layer down, so that each layer
+    reads the states the layer below left in the tick before; a product
     always spans the whole chunk, so BLAS sees one shape and rounds every
-    row alike whatever T is. Then one kernel call per step advances every
-    running slice, overwriting its buffer rows with states, and kept rows
-    are copied out. Each slice goes through the same products and
-    operations in the same order as its layer run alone: no bit changes.
+    row alike whatever T is. Then one kernel call per step advances each
+    group's running slices, overwriting their buffer rows with states, and
+    kept rows are copied out. Adjacent layer positions of one size and
+    residual handling form a group, its weights over all S reservoirs
+    stacked as K slices, while one step reads at most _GROUP_BYTES; the
+    grouping decides only which slices share a kernel call. Each slice goes
+    through the same products and operations in the same order as its
+    layer run alone: no bit changes.
     """
     inputs = np.asarray(inputs, dtype=float)
     first = reservoirs[0]
@@ -318,7 +317,7 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     kept = range(n_layers) if concat else [n_layers - 1]
     sizes = [first.layers[l].size for l in kept]
     cols = dict(zip(kept, (slice(end - n, end) for end, n in zip(np.cumsum(sizes), sizes))))
-    out = np.empty((t_total - washout, count, batch, sum(sizes)))
+    out = np.empty((t_total - washout, count) + seq + (sum(sizes),))
 
     positions = list(zip(*(deep.layers for deep in reservoirs)))
     kinds = [{m.kind for m in same} for same in positions]
@@ -333,7 +332,9 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         groups[-1].append(l)
         used += step_bytes
 
-    plan, views, blocks = [], [], []
+    # per layer, its (S, chunk, *seq, N_l) view of its group's buffer and its
+    # W_x.T and b over all S reservoirs, shaped to broadcast over the chunk
+    plan, layers, unit = [], [], (1,) * len(seq)
     for members in groups:
         stack = [m for l in members for m in positions[l]]  # slice j * S + s
         kind, n = kinds[members[0]], stack[0].size
@@ -344,9 +345,11 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
                 if np.shape(h0[l]) != (n,):
                     raise ValueError("initial state does not match layer size")
                 state[j * count:(j + 1) * count] = h0[l]
-            views.append([buf[:, j * count + s].reshape((chunk,) + seq + (n,))
-                          for s in range(count)])
-            blocks.append(buf[:, j * count:(j + 1) * count])
+            w_x_t = np.stack([m.w_x for m in positions[l]]).transpose(0, 2, 1)
+            layers.append((np.moveaxis(buf[:, j * count:(j + 1) * count], 1, 0).reshape(
+                               (count, chunk) + seq + (n,)),
+                           w_x_t.reshape((count,) + unit + w_x_t.shape[1:]),
+                           np.stack([m.b for m in positions[l]]).reshape((count, 1) + unit + (n,))))
         # per slice in the states' shape; on a batch, a value all slices
         # share is a stride-0 view, which multiplies faster than an array
         mixing = [np.broadcast_to(v[0], state.shape) if batch > 1 and len(set(v)) == 1
@@ -358,26 +361,22 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
                if kind is ResidualKind.RANDOM_ORTHOGONAL else None)
         plan.append((members[0], len(members), kind, w_h_t, o_t, *mixing, buf, state,
                      np.empty(state.shape), {}))
-    w_x_t = [[m.w_x.T for m in same] for same in positions]
-    biases = [[m.b for m in same] for same in positions]
 
     # per reservoir, (chunk, layer, step) of its first non-finite state
     first_bad: list[tuple[int, int, int] | None] = [None] * count
     x = np.zeros((chunk,) + inputs.shape[1:])
-    for tick in range(n_chunks + n_layers - len(plan)):
-        for g, (top, width, kind, w_h_t, o_t, alpha, beta, buf, state, z, spans) in enumerate(plan):
-            # member j runs chunk tick - lag - j; members lo..hi-1 are running
-            lag = top - g
-            lo, hi = max(tick - lag - n_chunks + 1, 0), min(tick - lag + 1, width)
+    for tick in range(n_chunks + n_layers - 1):
+        if tick < n_chunks:
+            x[:min(chunk, t_total - tick * chunk)] = inputs[tick * chunk:(tick + 1) * chunk]
+        for l in range(min(tick, n_layers - 1), max(tick - n_chunks, -1), -1):
+            view, w_x_t, b = layers[l]
+            np.matmul(layers[l - 1][0] if l else x, w_x_t, out=view)
+            view += b
+        for top, width, kind, w_h_t, o_t, alpha, beta, buf, state, z, spans in plan:
+            # member j is layer top + j; members lo..hi-1 are running
+            lo, hi = max(tick - top - n_chunks + 1, 0), min(tick - top + 1, width)
             if lo >= hi:
                 continue
-            for l in range(top + hi - 1, top + lo - 1, -1):
-                if l == 0:
-                    x[:min(chunk, t_total - tick * chunk)] = inputs[tick * chunk:(tick + 1) * chunk]
-                drives = views[l - 1] if l else [x] * count
-                for s, pre in enumerate(views[l]):
-                    np.matmul(drives[s], w_x_t[l][s], out=pre)
-                    pre += biases[l][s]
             # every running member steps as long as the highest one's chunk;
             # the lowest may be on the short last chunk, and its extra rows
             # (run on stale drives) are neither kept nor checked, and only
@@ -388,7 +387,7 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
                                          alpha[k], beta[k]),
                                  state[k], z[k], buf[:, k], list(buf[:, k]))
             update, carry, work, block, rows = spans[lo, hi]
-            steps = min(chunk, t_total - (tick - lag - hi + 1) * chunk)
+            steps = min(chunk, t_total - (tick - top - hi + 1) * chunk)
             h = carry
             for row in rows[:steps]:
                 update(h, row, work)
@@ -397,7 +396,7 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
             finite = np.isfinite(block[:steps]).reshape(steps, hi - lo, count, -1).all(axis=3)
             healthy = finite.all()
             for j in range(lo, hi):
-                l, c = top + j, tick - lag - j
+                l, c = top + j, tick - top - j
                 t0, n = c * chunk, min(chunk, t_total - c * chunk)
                 if not healthy:
                     bad = ~finite[:n, j - lo]
@@ -406,14 +405,14 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
                         first_bad[s] = min(first_bad[s] or key, key)
                 if l in cols and t0 + n > washout:
                     a = max(washout - t0, 0)
-                    out[t0 + a - washout:t0 + n - washout, ..., cols[l]] = blocks[l][a:n]
+                    out[t0 + a - washout:t0 + n - washout, ..., cols[l]] = \
+                        np.moveaxis(layers[l][0][:, a:n], 0, 1)
         # a reservoir's first failure is final once every layer has run its chunk
-        if all(bad is not None and bad[0] + n_layers - len(plan) <= tick for bad in first_bad):
+        if all(bad is not None and bad[0] + n_layers - 1 <= tick for bad in first_bad):
             break
     errors = [None if bad is None else f"non-finite state at step {bad[2]} in layer {bad[1] + 1}"
               for bad in first_bad]
-    shape = (t_total - washout,) + seq + out.shape[-1:]
-    return [out[:, s].reshape(shape) for s in range(count)], errors
+    return [out[:, s] for s in range(count)], errors
 
 
 def forward(deep: DeepReservoir, inputs: np.ndarray,
