@@ -61,7 +61,6 @@ class ModelClass(enum.Enum):
         return member
 
 
-@dataclass(frozen=True)
 class HyperGrid:
     """Candidate values for random search.
 
@@ -69,17 +68,18 @@ class HyperGrid:
     larger regularization list only on classification.
     """
 
-    concat: tuple = (False, True)
-    n_layers: tuple = (2, 3, 4, 5)
-    rho: tuple = (0.9, 1.0, 1.1)
-    omega_x: tuple = (0.01, 0.1, 1.0, 10.0)
-    omega_b: tuple = (0.0, 0.01, 0.1, 1.0, 10.0)
-    tau: tuple = (0.0001, 0.1, 0.5, 0.9, 0.99, 1.0)
-    alpha: tuple = (0.0, 0.0001, 0.1, 0.5, 0.9, 0.99, 1.0)
-    beta: tuple = (0.0001, 0.1, 0.5, 0.9, 0.99, 1.0)
-    lam: tuple = (0.0,)
-    lam_classification: tuple = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
-    memory_only: tuple = (0.0001, 0.99)
+    __slots__ = ()
+    concat = (False, True)
+    n_layers = (2, 3, 4, 5)
+    rho = (0.9, 1.0, 1.1)
+    omega_x = (0.01, 0.1, 1.0, 10.0)
+    omega_b = (0.0, 0.01, 0.1, 1.0, 10.0)
+    tau = (0.0001, 0.1, 0.5, 0.9, 0.99, 1.0)
+    alpha = (0.0, 0.0001, 0.1, 0.5, 0.9, 0.99, 1.0)
+    beta = (0.0001, 0.1, 0.5, 0.9, 0.99, 1.0)
+    lam = (0.0,)
+    lam_classification = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
+    memory_only = (0.0001, 0.99)
 
     def mixing_values(self, values: tuple, task_class: str) -> tuple:
         if task_class == "memory":
@@ -292,7 +292,8 @@ def _scored_rows(dataset: Dataset, washout: int) -> list[np.ndarray]:
     sequences. Refuses a split no trial can be scored on, before any trial
     runs: a readout needs a train row to fit, and a regression one two val
     and two test rows to take an NRMSE; a classification search selects on
-    val, so val must hold a sequence."""
+    val, so val must hold a sequence; NRMSE needs val and test targets
+    that are not all zero."""
     sp = dataset.split
     if sp is None:
         raise ValueError("dataset has no split attached")
@@ -312,6 +313,10 @@ def _scored_rows(dataset: Dataset, washout: int) -> list[np.ndarray]:
             f"washout {washout} leaves {len(rows[0])}/{len(rows[1])}/{len(rows[2])} "
             f"train/val/test rows of the {len(sp.train)}/{len(sp.val)}/{len(sp.test)} split; "
             "a trial needs at least 1/2/2")
+    for part, idx in (("val", rows[1]), ("test", rows[2])):
+        zero = np.flatnonzero(~np.square(dataset.targets[idx]).any(axis=0))  # nrmse's RMS is 0
+        if zero.size:
+            raise ValueError(f"{part} targets of output {zero[0]} are all zero: NRMSE is undefined")
     return rows
 
 
@@ -402,17 +407,12 @@ def aggregate(trials: list[TrialResult]) -> ResultsTable:
     for cid in sorted(by_config):
         group = sorted(by_config[cid], key=lambda t: t.seed)
         ok = [t for t in group if not t.failed]
-        val = np.asarray([t.val_metric for t in ok])
-        test = np.asarray([t.test_metric for t in ok])
-        rows.append({
-            "config_id": cid,
-            "val_mean": float(val.mean()) if len(ok) else float("nan"),
-            "val_std": float(val.std()) if len(ok) else float("nan"),
-            "test_mean": float(test.mean()) if len(ok) else float("nan"),
-            "test_std": float(test.std()) if len(ok) else float("nan"),
-            "n_seeds": len(group),
-            "n_failed": len(group) - len(ok),
-        })
+        row = {"config_id": cid, "n_seeds": len(group), "n_failed": len(group) - len(ok)}
+        for part in ("val", "test"):
+            scores = np.asarray([getattr(t, f"{part}_metric") for t in ok])
+            row[f"{part}_mean"] = float(scores.mean()) if ok else float("nan")
+            row[f"{part}_std"] = float(scores.std()) if ok else float("nan")
+        rows.append(row)
     return ResultsTable(rows=rows, trials=sorted(trials, key=lambda t: (t.config_id, t.seed)))
 
 

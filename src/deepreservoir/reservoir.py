@@ -317,7 +317,7 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     kept = range(n_layers) if concat else [n_layers - 1]
     sizes = [first.layers[l].size for l in kept]
     cols = dict(zip(kept, (slice(end - n, end) for end, n in zip(np.cumsum(sizes), sizes))))
-    out = np.empty((t_total - washout, count) + seq + (sum(sizes),))
+    out = np.empty((count, t_total - washout) + seq + (sum(sizes),))
 
     positions = list(zip(*(deep.layers for deep in reservoirs)))
     kinds = [{m.kind for m in same} for same in positions]
@@ -405,14 +405,13 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
                         first_bad[s] = min(first_bad[s] or key, key)
                 if l in cols and t0 + n > washout:
                     a = max(washout - t0, 0)
-                    out[t0 + a - washout:t0 + n - washout, ..., cols[l]] = \
-                        np.moveaxis(layers[l][0][:, a:n], 0, 1)
+                    out[:, t0 + a - washout:t0 + n - washout, ..., cols[l]] = layers[l][0][:, a:n]
         # a reservoir's first failure is final once every layer has run its chunk
         if all(bad is not None and bad[0] + n_layers - 1 <= tick for bad in first_bad):
             break
     errors = [None if bad is None else f"non-finite state at step {bad[2]} in layer {bad[1] + 1}"
               for bad in first_bad]
-    return [out[:, s] for s in range(count)], errors
+    return list(out), errors
 
 
 def forward(deep: DeepReservoir, inputs: np.ndarray,

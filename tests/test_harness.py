@@ -82,6 +82,15 @@ def test_memory_only_values_gated_by_task_class():
         assert cfg.inter_alpha not in (0.0001, 0.99)
 
 
+def test_grid_values_are_class_constants():
+    grid = HyperGrid()
+    assert grid.rho == HyperGrid.rho == (0.9, 1.0, 1.1)
+    with pytest.raises(TypeError):
+        HyperGrid(rho=(1.0,))
+    with pytest.raises(AttributeError):
+        grid.rho = (1.0,)
+
+
 def test_classification_draw_uses_wider_penalty_grid():
     grid = HyperGrid()
     rng = RngStream(5)
@@ -635,6 +644,25 @@ def test_washout_that_leaves_no_scorable_rows_rejected_before_any_trial(monkeypa
     with pytest.raises(ValueError, match="washout 200 leaves 0/7/43 train/val/test rows"):
         random_search(HyperGrid(), ModelClass.LEAKY_ESN, ds, "sinmem10", task_class,
                       budget=2, n_seeds=1, master_seed=0, washout=200)
+
+
+@pytest.mark.parametrize("task, part, output, washout", [
+    ("sinmem10", "val", 0, 200), ("lz25", "test", 3, 50)])
+def test_all_zero_val_or_test_targets_rejected_before_any_trial(task, part, output, washout,
+                                                                 monkeypatch):
+    ds, task_class = make_task(task, 0, length=600)
+    targets = ds.targets.copy()
+    targets[getattr(ds.split, part), output] = 0.0
+    ds = dataclasses.replace(ds, targets=targets)
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_config", no_trial)
+    message = f"^{part} targets of output {output} are all zero: NRMSE is undefined$"
+    with pytest.raises(ValueError, match=message):
+        random_search(HyperGrid(), ModelClass.LEAKY_ESN, ds, task, task_class,
+                      budget=2, n_seeds=1, master_seed=0, washout=washout)
 
 
 def _without_wall_time(trial):
