@@ -332,8 +332,8 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         groups[-1].append(l)
         used += step_bytes
 
-    # per layer, its (S, chunk, *seq, N_l) view of its group's buffer and its
-    # W_x.T and b over all S reservoirs, shaped to broadcast over the chunk
+    # per layer, the (S, chunk, *seq, N_l) view of its group's buffer that its
+    # drive product writes, and its W_x.T and b stacked over the S reservoirs
     plan, layers, unit = [], [], (1,) * len(seq)
     for members in groups:
         stack = [m for l in members for m in positions[l]]  # slice j * S + s
@@ -346,10 +346,11 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
                     raise ValueError("initial state does not match layer size")
                 state[j * count:(j + 1) * count] = h0[l]
             w_x_t = np.stack([m.w_x for m in positions[l]]).transpose(0, 2, 1)
-            layers.append((np.moveaxis(buf[:, j * count:(j + 1) * count], 1, 0).reshape(
-                               (count, chunk) + seq + (n,)),
+            b = np.stack([m.b for m in positions[l]])
+            view = np.moveaxis(buf[:, j * count:(j + 1) * count], 1, 0)
+            layers.append((view.reshape((count, chunk) + seq + (n,)),
                            w_x_t.reshape((count,) + unit + w_x_t.shape[1:]),
-                           np.stack([m.b for m in positions[l]]).reshape((count, 1) + unit + (n,))))
+                           b.reshape((count, 1) + unit + (n,))))
         # per slice in the states' shape; on a batch, a value all slices
         # share is a stride-0 view, which multiplies faster than an array
         mixing = [np.broadcast_to(v[0], state.shape) if batch > 1 and len(set(v)) == 1
@@ -368,6 +369,7 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     for tick in range(n_chunks + n_layers - 1):
         if tick < n_chunks:
             x[:min(chunk, t_total - tick * chunk)] = inputs[tick * chunk:(tick + 1) * chunk]
+        # layer l runs chunk tick - l; from the top down, each reads the states below first
         for l in range(min(tick, n_layers - 1), max(tick - n_chunks, -1), -1):
             view, w_x_t, b = layers[l]
             np.matmul(layers[l - 1][0] if l else x, w_x_t, out=view)
