@@ -275,20 +275,22 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     earliest step). A reservoir's states and message are bit-identical to
     those of a run on its own.
 
-    Time advances in chunks of _CHUNK steps (_CHUNK // B with a batch),
-    and in tick k layer l runs chunk k - l. A tick first fills the chunk
-    buffer of every running layer with its input drive, one product over
-    all S reservoirs per layer, from the top layer down, so that each layer
-    reads the states the layer below left in the tick before; a product
-    always spans the whole chunk, so BLAS sees one shape and rounds every
-    row alike whatever T is. Then one kernel call per step advances each
-    group's running slices, overwriting their buffer rows with states, and
-    kept rows are copied out. Adjacent layer positions of one size and
-    residual handling form a group, its weights over all S reservoirs
-    stacked as K slices, while one step reads at most _GROUP_BYTES; the
-    grouping decides only which slices share a kernel call. Each slice goes
-    through the same products and operations in the same order as its
-    layer run alone: no bit changes.
+    Time advances in chunks of _CHUNK steps (_CHUNK // B with a batch).
+    Tick k names its running layers once, layer l running chunk k - l, and
+    three phases read them. First each running layer's chunk buffer gets
+    its input drive, one product over all S reservoirs, from the top layer
+    down so that each reads the states the layer below left in the tick
+    before; a product spans the whole chunk, so BLAS rounds every row alike
+    whatever T is. Then one kernel call per step advances each group's
+    running slices, overwriting their buffer rows with states. Last, each
+    running layer's chunk is tested on its last row and its kept rows are
+    copied out: a non-finite state stays non-finite in its layer, so only
+    a chunk whose last row is not finite is scanned for its first bad step.
+    Adjacent layer positions of one size and residual handling form a
+    group, its weights over all S reservoirs stacked as K slices, while one
+    step reads at most _GROUP_BYTES; the grouping decides only which slices
+    share a kernel call. Each slice goes through the same products and
+    operations in the same order as its layer run alone: no bit changes.
     """
     inputs = np.asarray(inputs, dtype=float)
     first = reservoirs[0]
@@ -307,6 +309,10 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         raise ValueError(f"washout {washout} must be < sequence length {t_total}")
     if h0 is not None and len(h0) != first.n_layers:
         raise ValueError(f"h0 has {len(h0)} initial states, the stack has {first.n_layers} layers")
+    for l, layer in enumerate(first.layers if h0 is not None else []):
+        if np.shape(h0[l]) != (layer.size,):
+            raise ValueError(f"initial state of layer {l + 1} has shape {np.shape(h0[l])}, "
+                             f"the layer has {layer.size} units")
     _require_finite_inputs(inputs)
 
     count = len(reservoirs)
@@ -342,8 +348,6 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         buf = np.zeros((chunk,) + state.shape)
         for j, l in enumerate(members):
             if h0 is not None:
-                if np.shape(h0[l]) != (n,):
-                    raise ValueError("initial state does not match layer size")
                 state[j * count:(j + 1) * count] = h0[l]
             w_x_t = np.stack([m.w_x for m in positions[l]]).transpose(0, 2, 1)
             b = np.stack([m.b for m in positions[l]])
@@ -369,45 +373,41 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     for tick in range(n_chunks + n_layers - 1):
         if tick < n_chunks:
             x[:min(chunk, t_total - tick * chunk)] = inputs[tick * chunk:(tick + 1) * chunk]
-        # layer l runs chunk tick - l; from the top down, each reads the states below first
-        for l in range(min(tick, n_layers - 1), max(tick - n_chunks, -1), -1):
+        # layer l runs chunk tick - l; drives from the top down read the states below first
+        running = range(max(tick - n_chunks + 1, 0), min(tick + 1, n_layers))
+        for l in reversed(running):
             view, w_x_t, b = layers[l]
             np.matmul(layers[l - 1][0] if l else x, w_x_t, out=view)
             view += b
         for top, width, kind, w_h_t, o_t, alpha, beta, buf, state, z, spans in plan:
             # member j is layer top + j; members lo..hi-1 are running
-            lo, hi = max(tick - top - n_chunks + 1, 0), min(tick - top + 1, width)
+            lo, hi = max(running.start - top, 0), min(running.stop - top, width)
             if lo >= hi:
                 continue
-            # every running member steps as long as the highest one's chunk;
-            # the lowest may be on the short last chunk, and its extra rows
-            # (run on stale drives) are neither kept nor checked, and only
-            # feed the extra rows of the layer above
+            # every running member steps as long as the highest one's chunk; on
+            # the short last chunk the lowest member's extra rows run on stale
+            # drives, and are never kept or tested
             if (lo, hi) not in spans:
                 k = slice(lo * count, hi * count)
                 spans[lo, hi] = (_kernel(kind, w_h_t[k], None if o_t is None else o_t[k],
-                                         alpha[k], beta[k]),
-                                 state[k], z[k], buf[:, k], list(buf[:, k]))
-            update, carry, work, block, rows = spans[lo, hi]
+                                         alpha[k], beta[k]), z[k], [state[k]] + list(buf[:, k]))
+            update, work, rows = spans[lo, hi]  # rows[0] is the carried state
             steps = min(chunk, t_total - (tick - top - hi + 1) * chunk)
-            h = carry
-            for row in rows[:steps]:
+            for h, row in zip(rows, rows[1:steps + 1]):
                 update(h, row, work)
-                h = row
-            np.copyto(carry, h)
-            finite = np.isfinite(block[:steps]).reshape(steps, hi - lo, count, -1).all(axis=3)
-            healthy = finite.all()
-            for j in range(lo, hi):
-                l, c = top + j, tick - top - j
-                t0, n = c * chunk, min(chunk, t_total - c * chunk)
-                if not healthy:
-                    bad = ~finite[:n, j - lo]
-                    for s in np.flatnonzero(bad.any(axis=0)):
-                        key = (c, l, t0 + int(np.argmax(bad[:, s])))
-                        first_bad[s] = min(first_bad[s] or key, key)
-                if l in cols and t0 + n > washout:
-                    a = max(washout - t0, 0)
-                    out[:, t0 + a - washout:t0 + n - washout, ..., cols[l]] = layers[l][0][:, a:n]
+            np.copyto(rows[0], rows[steps])
+        # a non-finite state stays non-finite in its layer, so a chunk whose
+        # last real row is finite is finite throughout
+        for l in running:
+            view, c = layers[l][0], tick - l
+            t0, n = c * chunk, min(chunk, t_total - c * chunk)
+            for s in np.flatnonzero(~np.isfinite(view[:, n - 1]).reshape(count, -1).all(axis=1)):
+                bad = ~np.isfinite(view[s, :n]).reshape(n, -1).all(axis=1)
+                key = (c, l, t0 + int(np.argmax(bad)))
+                first_bad[s] = min(first_bad[s] or key, key)
+            if l in cols and t0 + n > washout:
+                a = max(washout - t0, 0)
+                out[:, t0 + a - washout:t0 + n - washout, ..., cols[l]] = view[:, a:n]
         # a reservoir's first failure is final once every layer has run its chunk
         if all(bad is not None and bad[0] + n_layers - 1 <= tick for bad in first_bad):
             break
