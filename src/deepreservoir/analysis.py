@@ -27,28 +27,23 @@ def multisine(t_steps: int) -> np.ndarray:
 
 
 def layerwise_spectra(configs: list[LayerConfig], signal: np.ndarray, trials: int,
-                      seed: int, washout: int = 0) -> np.ndarray:
+                      seed: int) -> np.ndarray:
     """Average per-layer state spectra over freshly built reservoirs.
 
     Each trial rebuilds the stack from a child stream of the seed, runs it
-    over the signal, Fourier-transforms every hidden unit's post-washout
-    sequence, and averages magnitudes over units; trials are then averaged
-    and each layer normalized to max 1. Returns a (layers, bins) array.
+    over the signal, Fourier-transforms every hidden unit's state sequence,
+    and averages magnitudes over units; trials are then averaged and each
+    layer normalized to max 1. Returns a (layers, bins) array.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    signal = np.asarray(signal, dtype=float)
-    if washout < 0:
-        raise ValueError(f"washout must be >= 0, got {washout}")
-    if washout >= len(signal):
-        raise ValueError(f"washout {washout} must be < sequence length {len(signal)}")
     master = RngStream(seed)
     sums = 0.0
     for trial in range(trials):
         rng = master.child(("trial", trial))
         deep = build_deep_reservoir(configs, input_dim=1, rng=rng)
         states = forward(deep, signal)
-        sums = sums + np.array([fft_magnitudes(s[washout:]).mean(axis=1) for s in states])
+        sums = sums + np.array([fft_magnitudes(s).mean(axis=1) for s in states])
     mean = sums / trials
     peak = mean.max(axis=1, keepdims=True)
     peak[peak == 0] = 1.0  # an all-zero layer stays zero

@@ -98,8 +98,12 @@ class Layer:
 
     def __post_init__(self):
         n = self.size
-        if self.o.shape != (n, n):
-            raise ValueError(f"residual matrix has shape {self.o.shape}, layer needs {(n, n)}")
+        if self.w_x.ndim != 2 or len(self.w_x) != n:
+            raise ValueError(f"w_x has shape {self.w_x.shape}, layer needs ({n}, N_x)")
+        for name, got, want in (("w_h", self.w_h.shape, (n, n)), ("b", self.b.shape, (n,)),
+                                ("residual matrix", self.o.shape, (n, n))):
+            if got != want:
+                raise ValueError(f"{name} has shape {got}, layer needs {want}")
 
     @property
     def kind(self) -> ResidualKind:
@@ -264,16 +268,18 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     each runs with its own weights, alpha and beta. A layer position whose
     residual matrices are not all one permutation (1-unit random layers
     draw o = [1] or [-1]) runs the product with each reservoir's own o.
-    inputs is (T, N_x), or (T, B, N_x) for B equal-length sequences. Every
+    inputs is (T, N_x), or (T, B, N_x) for B equal-length sequences, with
+    T and B at least 1; any other shape is refused, naming it. Every
     reservoir starts from zero, or from h0: one (N_l,) state per layer,
     which every reservoir and sequence starts from.
 
     Returns per reservoir its states from step washout on, (T - washout, F)
     or (T - washout, B, F), the kept layers (all with concat, otherwise the
     last) side by side; and per reservoir None or the message naming its
-    first non-finite state (earliest chunk, then lowest layer, then
-    earliest step). A reservoir's states and message are bit-identical to
-    those of a run on its own.
+    first non-finite state: the earliest step, with the lowest layer on a
+    tie. Every returned row is a computed state, non-finite ones included,
+    and a reservoir's states and message are bit-identical to those of a
+    run on its own, whatever the chunk length or batch.
 
     Time advances in chunks of _CHUNK steps (_CHUNK // B with a batch).
     Tick k names its running layers once, layer l running chunk k - l, and
@@ -293,10 +299,11 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     operations in the same order as its layer run alone: no bit changes.
     """
     inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim not in (2, 3) or 0 in inputs.shape[:-1]:
+        raise ValueError(f"inputs have shape {inputs.shape}, expected (T, N_x) or (T, B, N_x) "
+                         "with T, B >= 1")
     first = reservoirs[0]
     t_total = inputs.shape[0]
-    if t_total == 0:
-        raise ValueError("input sequence is empty")
     for deep in reservoirs:
         if inputs.shape[-1] != deep.input_dim:
             raise ValueError(
@@ -367,8 +374,8 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         plan.append((members[0], len(members), kind, w_h_t, o_t, *mixing, buf, state,
                      np.empty(state.shape), {}))
 
-    # per reservoir, (chunk, layer, step) of its first non-finite state
-    first_bad: list[tuple[int, int, int] | None] = [None] * count
+    # per reservoir, (step, layer) of its first non-finite state
+    first_bad: list[tuple[int, int] | None] = [None] * count
     x = np.zeros((chunk,) + inputs.shape[1:])
     for tick in range(n_chunks + n_layers - 1):
         if tick < n_chunks:
@@ -403,15 +410,12 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
             t0, n = c * chunk, min(chunk, t_total - c * chunk)
             for s in np.flatnonzero(~np.isfinite(view[:, n - 1]).reshape(count, -1).all(axis=1)):
                 bad = ~np.isfinite(view[s, :n]).reshape(n, -1).all(axis=1)
-                key = (c, l, t0 + int(np.argmax(bad)))
+                key = (t0 + int(np.argmax(bad)), l)
                 first_bad[s] = min(first_bad[s] or key, key)
             if l in cols and t0 + n > washout:
                 a = max(washout - t0, 0)
                 out[:, t0 + a - washout:t0 + n - washout, ..., cols[l]] = view[:, a:n]
-        # a reservoir's first failure is final once every layer has run its chunk
-        if all(bad is not None and bad[0] + n_layers - 1 <= tick for bad in first_bad):
-            break
-    errors = [None if bad is None else f"non-finite state at step {bad[2]} in layer {bad[1] + 1}"
+    errors = [None if bad is None else f"non-finite state at step {bad[0]} in layer {bad[1] + 1}"
               for bad in first_bad]
     return list(out), errors
 

@@ -223,20 +223,21 @@ def gen_lorenz96(t_steps: int, horizon: int, rng: RngStream) -> Dataset:
     return Dataset(inputs=inputs, targets=targets, kind="regression")
 
 
-def mackey_glass_series(n_units: int, dt: float = 0.1, transient: int = 1000,
-                        initial: float = 1.2) -> np.ndarray:
+# The oscillator's Euler step (1/_MG_DT steps per time unit, so the delay of
+# 17 is a whole number of steps), the time units dropped before the first
+# sample, and the constant initial history.
+_MG_DT, _MG_TRANSIENT, _MG_INITIAL = 0.1, 1000, 1.2
+
+
+def mackey_glass_series(n_units: int) -> np.ndarray:
     """Delay-differential oscillator, delay 17, sampled at unit time spacing.
 
-    Euler integration with step dt and a constant initial history; every
-    round(1/dt)-th step is kept, so samples lie one time unit apart.
+    Euler integration with step _MG_DT and a constant initial history; every
+    round(1/_MG_DT)-th step is kept, so samples lie one time unit apart.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt, transient, initial = _MG_DT, _MG_TRANSIENT, _MG_INITIAL
     steps_per_unit = int(round(1.0 / dt))
     delay_steps = 17 * steps_per_unit
-    if abs(17 / dt - delay_steps) > 1e-9:
-        raise ValueError("the delay of 17 must be an integer number of dt steps")
-
     n_steps = (transient + n_units) * steps_per_unit
     f = np.empty(n_steps + 1)
     f[0] = initial

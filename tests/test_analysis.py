@@ -118,25 +118,15 @@ def test_layerwise_spectra_rejects_zero_trials():
         layerwise_spectra([_config()], multisine(100), trials=0, seed=0)
 
 
-def test_layerwise_spectra_names_a_washout_past_the_signal():
-    for washout in (100, 150):
-        with pytest.raises(ValueError, match=f"washout {washout} must be < sequence length 100"):
-            layerwise_spectra([_config()], multisine(100), trials=1, seed=0, washout=washout)
-
-
-def test_layerwise_spectra_rejects_a_negative_washout():
-    with pytest.raises(ValueError, match="washout must be >= 0, got -5$"):
-        layerwise_spectra([_config()], multisine(100), trials=1, seed=0, washout=-5)
-
-
 def test_linear_reservoir_preserves_probe_frequencies():
     # with a tiny input scaling and no bias tanh stays in its linear
     # regime, so the layer acts as a stable LTI system whose steady state
-    # contains exactly the probe frequencies
-    t, washout = 1200, 200
+    # contains exactly the probe frequencies; its short start-up transient
+    # leaves them holding most of the energy
+    t = 1200
     signal = multisine(t)
     configs = [_config(rho=0.4, wx=1e-6)]
-    spectra = layerwise_spectra(configs, signal, trials=1, seed=3, washout=washout)
+    spectra = layerwise_spectra(configs, signal, trials=1, seed=3)
 
     # independent simulation of the same linear system, rebuilt from the
     # same derived stream
@@ -148,13 +138,12 @@ def test_linear_reservoir_preserves_probe_frequencies():
         h = layer.alpha * (layer.o @ h) + layer.beta * (
             layer.w_h @ h + layer.w_x @ np.atleast_1d(x) + layer.b)
         states.append(h.copy())
-    states = np.asarray(states)[washout:]
+    states = np.asarray(states)
     mags = np.abs(np.fft.rfft(states, axis=0)).mean(axis=1)
     mags /= mags.max()
     assert np.max(np.abs(spectra[0] - mags)) < 1e-9
 
-    kept = t - washout
-    bins = [int(round(phi * kept / (2 * np.pi))) for phi in MULTISINE_FREQS]
+    bins = [int(round(phi * t / (2 * np.pi))) for phi in MULTISINE_FREQS]
     energy = spectra[0] ** 2
     windowed = sum(np.sum(energy[k - 3:k + 4]) for k in bins)
     assert windowed > 0.85 * energy.sum()

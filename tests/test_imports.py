@@ -1,15 +1,18 @@
-"""Every name a module in src/ or tests/ imports is used in that module, and
+"""Every name a module in src/ or tests/ imports is used in that module,
 every private top-level function or class in src/ is used by some module in
-src/. No linter ships with the package, so this reads each module's syntax
-tree."""
+src/, and every parameter with a default in src/ is set by some call in src/
+or bench/. No linter ships with the package, so this reads each module's
+syntax tree."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 from test_bench_names import _stage_names
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
+BENCH = sorted((ROOT / "bench").rglob("*.py"))
 MODULES = sorted([*SOURCES, *(ROOT / "tests").rglob("*.py")])
 
 
@@ -82,3 +85,59 @@ def test_the_check_sees_an_unused_private_name(tmp_path):
                                    "a._read_as_attribute()\n")
     assert _unreferenced_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [
         "a.py defines _unused", "a.py defines _Unused"]
+
+
+def _unset_defaults(sources: list[Path], callers: list[Path]) -> list[str]:
+    """The parameters with a default, of the functions the sources define,
+    that no call in the callers passes by keyword or by position. A call
+    names its function by the name or attribute it calls; a call to a class
+    counts for its __init__, and a method's first parameter is its instance
+    or class."""
+    passed = defaultdict(set)  # callee name -> keywords and positions it is given
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed[callee] |= {kw.arg for kw in node.keywords} | set(range(len(node.args)))
+    unset = []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        owners = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                  for f in c.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for f in ast.walk(tree):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+            skip = id(f) in owners and not static
+            callee = owners[id(f)] if f.name == "__init__" else f.name
+            params = f.args.posonlyargs + f.args.args
+            defaulted = [(i - skip, a.arg) for i, a in enumerate(params)
+                         if i >= len(params) - len(f.args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
+                          if d is not None]
+            unset += [f"{path.name}: {f.name}({name}=)" for position, name in defaulted
+                      if not passed[callee] & {name, position}]
+    return unset
+
+
+def test_every_parameter_with_a_default_in_src_is_set_by_a_caller():
+    # tests do not count: an option only a test sets is a constant it patches
+    unset = _unset_defaults(SOURCES, SOURCES + BENCH)
+    assert not unset, "no call in src/ or bench/ sets\n" + "\n".join(unset)
+
+
+def test_the_check_sees_an_unset_default(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, by_position=1, by_keyword=2, unset=3, *, only_keyword=4): pass\n"
+        "class C:\n"
+        "    def __init__(self, x, size=1, unset=2): pass\n"
+        "    def method(self, depth=1, unset=2): pass\n"
+        "    @staticmethod\n"
+        "    def static(depth=1, unset=2): pass\n")
+    (tmp_path / "b.py").write_text(
+        "import a\n"
+        "a.f(0, 1, by_keyword=0)\nf(only_keyword=0)\n"
+        "c = a.C(0, 1)\nc.method(2)\na.C.static(2)\n")
+    assert _unset_defaults([tmp_path / "a.py"], [tmp_path / "b.py"]) == [
+        "a.py: f(unset=)", "a.py: __init__(unset=)", "a.py: method(unset=)",
+        "a.py: static(unset=)"]

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -551,6 +552,67 @@ def test_run_states_rejects_reservoirs_of_different_shapes():
         run_states([a, c], np.zeros((5, 1)))
 
 
+def _poisoned_pair():
+    """Two 2-layer random stacks whose first layer has a NaN bias, so both
+    fail at step 0 and every state they reach has a NaN."""
+    deeps = [build_deep_reservoir([_config(), _config()], 1, RngStream(seed)) for seed in (0, 1)]
+    for deep in deeps:
+        deep.layers[0].b[0] = np.nan
+    return deeps, np.full((2000, 1), 0.3)
+
+
+def test_run_states_returns_every_computed_state_of_a_failing_reservoir():
+    deeps, inputs = _poisoned_pair()
+    states, errors = run_states(deeps, inputs)
+    assert errors == ["non-finite state at step 0 in layer 1"] * 2
+    for deep, got in zip(deeps, states):
+        assert not np.isfinite(got).all(axis=1).any()
+        assert np.array_equal(got, run_states([deep], inputs)[0][0], equal_nan=True)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("chunk", [7, 256, 1000])
+def test_run_states_names_the_earliest_step_whatever_the_chunk_or_batch(batch, chunk,
+                                                                       monkeypatch):
+    # layer 1 turns non-finite at step 200 (an infinite bias meets an input
+    # product that overflows the other way), layer 3 at step 0 (a NaN bias);
+    # which chunk holds either step must not decide the message
+    deep = build_deep_reservoir([_config(kind=ResidualKind.CYCLIC)] * 3, 2, RngStream(100))
+    deep.layers[0].w_x[0] = 1e308
+    deep.layers[0].b[0] = np.inf
+    deep.layers[2].b[0] = np.nan
+    inputs = np.zeros((600, 2))
+    inputs[200] = -10.0
+    if batch:
+        inputs = np.stack([inputs] * 3, axis=1)
+    monkeypatch.setattr(reservoir, "_CHUNK", chunk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, errors = run_states([deep], inputs)
+    assert errors == ["non-finite state at step 0 in layer 3"]
+
+
+def test_run_states_makes_as_many_kernel_calls_when_every_reservoir_fails(monkeypatch):
+    deeps, inputs = _poisoned_pair()
+    calls = _count_updates(monkeypatch)
+    _, errors = run_states(deeps, inputs)
+    assert errors == ["non-finite state at step 0 in layer 1"] * 2
+    failing = len(calls)
+    calls.clear()
+    healthy = [build_deep_reservoir([_config(), _config()], 1, RngStream(seed)) for seed in (0, 1)]
+    assert run_states(healthy, inputs)[1] == [None, None]
+    # 8 chunks of 256 steps, the last 208 long, over 9 ticks of the 2-layer group
+    assert failing == len(calls) == 2256
+
+
+@pytest.mark.parametrize("shape", [(7,), (1,), (0, 1), (5, 0, 1), (5, 2, 3, 1)])
+def test_run_states_refuses_an_input_shape_it_cannot_run(shape):
+    # the shape is checked before the values, so the NaNs do not decide the message
+    deep = build_deep_reservoir([_config()], 1, RngStream(85))
+    message = rf"^inputs have shape {re.escape(str(shape))}, expected \(T, N_x\) or \(T, B, N_x\)"
+    with pytest.raises(ValueError, match=message + r" with T, B >= 1$"):
+        run_states([deep], np.full(shape, np.nan))
+
+
 # ---------------------------------------------------------------------------
 # the pipelined layers: a stack runs its layers one chunk apart, grouped
 
@@ -670,12 +732,12 @@ def test_run_states_splits_groups_where_the_residual_kind_changes(batch, budget,
         assert np.array_equal(got, np.concatenate(_layer_by_layer(deep, inputs), axis=-1)[washout:])
 
 
-def test_run_states_reports_the_earliest_chunk_first_across_the_skew(monkeypatch):
-    # seed 0 turns non-finite in layer 3 at chunk 0 (a NaN bias) and in
+def test_run_states_reports_the_earliest_step_first_across_the_skew(monkeypatch):
+    # seed 0 turns non-finite in layer 3 at step 0 (a NaN bias) and in
     # layer 1 at chunk 2 (an infinite bias meets an input product that
     # overflows the other way), which the skewed loop meets in the same
     # tick; seed 1 only in layer 1 at chunk 2, seed 2 only in layer 2 at
-    # chunk 0
+    # step 0
     deeps = [build_deep_reservoir([_config(kind=ResidualKind.CYCLIC)] * 4, 2, RngStream(seed))
              for seed in (100, 101, 102)]
     t_fail = 2 * CHUNK + 10
@@ -692,9 +754,9 @@ def test_run_states_reports_the_earliest_chunk_first_across_the_skew(monkeypatch
     assert errors == ["non-finite state at step 0 in layer 3",
                       f"non-finite state at step {t_fail} in layer 1",
                       "non-finite state at step 0 in layer 2"]
-    # every seed has failed by chunk 2, so the loop stops after tick 5, the
-    # first by which all four layers have run chunk 2, not after tick 8
-    assert len(calls) == 6 * CHUNK
+    # every seed has failed by chunk 2, and the loop still runs all nine
+    # ticks, as it does for a healthy stack of this shape
+    assert len(calls) == 9 * CHUNK
 
 
 @pytest.mark.parametrize("kind", [ResidualKind.CYCLIC, ResidualKind.IDENTITY])
@@ -736,7 +798,6 @@ def test_a_non_finite_state_stays_non_finite_in_its_layer(kind, alpha, value, n)
     deep = build_deep_reservoir([_config(n=n, alpha=alpha, kind=kind)] * 2, 1, RngStream(116))
     h0 = [np.zeros(n), np.zeros(n)]
     h0[0][n // 2] = value
-    # T < CHUNK, so the loop writes every row before it stops
     inputs = RngStream(117).uniform(-1, 1, (CHUNK - 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         states, errors = run_states([deep], inputs, h0=h0)
@@ -889,6 +950,18 @@ def test_layer_kind_is_read_off_its_residual(kind):
     for other in ResidualKind:
         layer.o = build_residual(other, 6, RngStream(75))
         assert layer.kind is other
+
+
+@pytest.mark.parametrize("field, shape, needs", [
+    ("w_x", (3, 1), "(5, N_x)"), ("w_x", (5,), "(5, N_x)"), ("w_h", (5, 4), "(5, 5)"),
+    ("b", (4,), "(5,)"), ("b", (5, 1), "(5,)")])
+def test_layer_refuses_an_array_that_disagrees_with_its_size(field, shape, needs):
+    # a 5-unit layer refuses the array by name at construction, not in forward's matmul
+    fields = dict(w_x=np.zeros((5, 1)), w_h=np.zeros((5, 5)), b=np.zeros(5), o=np.eye(5),
+                  alpha=0.5, beta=0.5)
+    message = f"^{field} has shape {re.escape(str(shape))}, layer needs {re.escape(needs)}$"
+    with pytest.raises(ValueError, match=message):
+        Layer(**{**fields, field: np.zeros(shape)})
 
 
 def test_cyclic_layers_assigned_identity_run_and_report_identity():

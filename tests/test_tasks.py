@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deepreservoir import tasks
 from deepreservoir.numerics import RngStream
 from deepreservoir.tasks import (
     Dataset,
@@ -144,14 +145,18 @@ def test_gen_lorenz96_horizon_alignment():
 # delay oscillator
 
 
-def test_mackey_glass_zero_history_is_fixed_point():
-    s = mackey_glass_series(20, transient=0, initial=0.0)
+def test_mackey_glass_zero_history_is_fixed_point(monkeypatch):
+    monkeypatch.setattr(tasks, "_MG_TRANSIENT", 0)
+    monkeypatch.setattr(tasks, "_MG_INITIAL", 0.0)
+    s = mackey_glass_series(20)
     assert np.array_equal(s, np.zeros(20))
 
 
-def test_mackey_glass_unit_history_is_fixed_point():
+def test_mackey_glass_unit_history_is_fixed_point(monkeypatch):
     # 0.2 * 1 / (1 + 1) - 0.1 * 1 = 0
-    s = mackey_glass_series(20, transient=0, initial=1.0)
+    monkeypatch.setattr(tasks, "_MG_TRANSIENT", 0)
+    monkeypatch.setattr(tasks, "_MG_INITIAL", 1.0)
+    s = mackey_glass_series(20)
     assert np.allclose(s, 1.0)
 
 
@@ -160,10 +165,13 @@ def test_mackey_glass_attractor_range():
     assert 0.2 < s.min() and s.max() < 1.5
 
 
-def test_mackey_glass_euler_step_halving_first_order():
-    a = mackey_glass_series(50, dt=0.1, transient=0)
-    b = mackey_glass_series(50, dt=0.05, transient=0)
-    c = mackey_glass_series(50, dt=0.025, transient=0)
+def test_mackey_glass_euler_step_halving_first_order(monkeypatch):
+    monkeypatch.setattr(tasks, "_MG_TRANSIENT", 0)
+    runs = []
+    for dt in (0.1, 0.05, 0.025):
+        monkeypatch.setattr(tasks, "_MG_DT", dt)
+        runs.append(mackey_glass_series(50))
+    a, b, c = runs
     ratio = np.linalg.norm(a - b) / np.linalg.norm(b - c)
     assert 1.5 <= ratio <= 2.8
 
