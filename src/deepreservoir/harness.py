@@ -279,7 +279,7 @@ def _last_state_features(deeps: list[DeepReservoir], sequences: list[np.ndarray]
     errors: list[str | None] = [None] * len(deeps)
     for idx in batches:
         group = np.stack([sequences[i] for i in idx], axis=1)  # (T, B, N_x)
-        states, group_errors = run_states(deeps, group, len(group) - 1, concat)
+        states, group_errors, _ = run_states(deeps, group, len(group) - 1, concat)
         for s, (last, error) in enumerate(zip(states, group_errors)):
             feats[s][idx] = last[0]
             errors[s] = errors[s] or error
@@ -332,9 +332,10 @@ def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> 
 
     The seeds' reservoirs share every size and mixing coefficient, so they
     advance together through one state loop (reservoir.run_states), and each
-    seed's result is bit-identical to running that seed alone. Unstable
-    dynamics fail only their own seed, reported as a failed trial rather
-    than raised. Each trial's wall_time is an equal share of the run.
+    seed's result is bit-identical to running that seed alone. A regression
+    readout is fitted, and its states dropped, before the scored steps run.
+    Unstable dynamics fail only their own seed, reported as a failed trial
+    rather than raised. Each trial's wall_time is an equal share of the run.
     """
     train, val_rows, test_rows = _scored_rows(dataset, config.washout)
     if not seeds:
@@ -344,28 +345,38 @@ def run_config(config: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> 
                                   concat=config.concat) for seed in seeds]
     # regression has a feature row per step from the washout on and scores
     # NRMSE; classification has one per sequence, fits one-hot targets and
-    # scores accuracy
+    # scores accuracy. The loop stops after the last train step and resumes
+    # once the readouts are fitted, unless the split scores a step before it.
     if dataset.kind == "regression":
-        feats, errors = run_states(deeps, dataset.inputs, config.washout, config.concat)
+        cut = train.max() + 1 if min(val_rows.min(), test_rows.min()) > train.max() else None
+        feats, errors, carry = run_states(deeps, dataset.inputs[:cut], config.washout,
+                                          config.concat)
         first, targets, metric = config.washout, dataset.targets, nrmse
     else:
         feats, errors = _last_state_features(deeps, dataset.inputs, config.concat)
-        first, targets, metric = 0, one_hot(dataset.targets, dataset.n_classes), accuracy
+        first, targets, metric, cut = 0, one_hot(dataset.targets, dataset.n_classes), accuracy, None
     fit_rows, fit_targets = _one_run(train - first), targets[train]
+    w_os = []
+    for seed_feats, error in zip(feats, errors):
+        try:
+            w_os.append(error or fit(seed_feats[fit_rows], fit_targets, config.lam))
+        except np.linalg.LinAlgError as exc:
+            w_os.append(str(exc))
+    if cut is not None:
+        del feats, seed_feats  # the last references to the fit span's states
+        feats, late, _ = run_states(deeps, dataset.inputs[cut:], 0, config.concat, carry=carry)
+        errors, first = [error or error_late for error, error_late in zip(errors, late)], cut
     scored = [(_one_run(rows - first), dataset.targets[rows]) for rows in (val_rows, test_rows)]
     outcomes = []
-    for seed, seed_feats, error in zip(seeds, feats, errors):
+    for seed, seed_feats, error, w_o in zip(seeds, feats, errors, w_os):
         val = test = float("nan")
+        error = error or (w_o if isinstance(w_o, str) else None)
         if error is None:
-            try:
-                w_o = fit(seed_feats[fit_rows], fit_targets, config.lam)
-                scores = [metric(predict(w_o, seed_feats[idx]), truth) for idx, truth in scored]
-                if np.all(np.isfinite(scores)):
-                    val, test = map(float, scores)
-                else:
-                    error = "non-finite metric"
-            except np.linalg.LinAlgError as exc:
-                error = str(exc)
+            scores = [metric(predict(w_o, seed_feats[idx]), truth) for idx, truth in scored]
+            if np.all(np.isfinite(scores)):
+                val, test = map(float, scores)
+            else:
+                error = "non-finite metric"
         outcomes.append((seed, val, test, error))
     wall = (time.perf_counter() - started) / len(seeds)
     return [TrialResult(config.config_id, seed, val, test, wall, error)

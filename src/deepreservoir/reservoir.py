@@ -246,21 +246,22 @@ def _kernel(kind: ResidualKind, w_h_t: np.ndarray, o_t: np.ndarray | None,
     return update
 
 
-def _require_finite_inputs(inputs: np.ndarray) -> None:
-    """Reject a non-finite input, naming its first step (and, for a
-    (T, B, N_x) batch, the first sequence that has one)."""
+def _require_finite_inputs(inputs: np.ndarray, offset: int) -> None:
+    """Reject a non-finite input, naming its first step, counted from
+    offset (and, for a (T, B, N_x) batch, the first sequence that has one)."""
     bad = ~np.isfinite(inputs).all(axis=-1)
     if not bad.any():
         return
     if bad.ndim == 1:
-        raise ValueError(f"non-finite input at step {np.argmax(bad)}")
+        raise ValueError(f"non-finite input at step {offset + np.argmax(bad)}")
     sequence, t = np.argwhere(bad.T)[0]
-    raise ValueError(f"non-finite input at step {t} of sequence {sequence}")
+    raise ValueError(f"non-finite input at step {offset + t} of sequence {sequence}")
 
 
 def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int = 0,
                concat: bool = True, h0: list[np.ndarray] | None = None,
-               ) -> tuple[list[np.ndarray], list[str | None]]:
+               carry: tuple[int, list[np.ndarray]] | None = None,
+               ) -> tuple[list[np.ndarray], list[str | None], tuple[int, list[np.ndarray]]]:
     """Run S reservoirs of one shape over a shared input and keep the
     states a readout needs: the one time loop.
 
@@ -270,16 +271,19 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     draw o = [1] or [-1]) runs the product with each reservoir's own o.
     inputs is (T, N_x), or (T, B, N_x) for B equal-length sequences, with
     T and B at least 1; any other shape is refused, naming it. Every
-    reservoir starts from zero, or from h0: one (N_l,) state per layer,
-    which every reservoir and sequence starts from.
+    reservoir starts from zero, from h0: one (N_l,) state per layer, which
+    every reservoir and sequence starts from, or from an earlier run's carry.
 
     Returns per reservoir its states from step washout on, (T - washout, F)
     or (T - washout, B, F), the kept layers (all with concat, otherwise the
-    last) side by side; and per reservoir None or the message naming its
-    first non-finite state: the earliest step, with the lowest layer on a
-    tie. Every returned row is a computed state, non-finite ones included,
-    and a reservoir's states and message are bit-identical to those of a
-    run on its own, whatever the chunk length or batch.
+    last) side by side; per reservoir None or the message naming its first
+    non-finite state: the earliest step, with the lowest layer on a tie; and
+    the carry (step, states): the step after the last one run and each
+    layer's (S, N_l) or (S, B, N_l) state there, kept or not, from which a
+    run over the inputs that follow resumes, naming steps from the first
+    run's start. Every returned row is a computed state, non-finite ones
+    included, and a reservoir's states and message are bit-identical to
+    those of a run on its own, whatever the chunk length, batch or resumes.
 
     Time advances in chunks of _CHUNK steps (_CHUNK // B with a batch).
     Tick k names its running layers once, layer l running chunk k - l, and
@@ -302,6 +306,8 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     if inputs.ndim not in (2, 3) or 0 in inputs.shape[:-1]:
         raise ValueError(f"inputs have shape {inputs.shape}, expected (T, N_x) or (T, B, N_x) "
                          "with T, B >= 1")
+    if not reservoirs:
+        raise ValueError("no reservoirs to run: run_states needs at least one")
     first = reservoirs[0]
     t_total = inputs.shape[0]
     for deep in reservoirs:
@@ -320,10 +326,14 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         if np.shape(h0[l]) != (layer.size,):
             raise ValueError(f"initial state of layer {l + 1} has shape {np.shape(h0[l])}, "
                              f"the layer has {layer.size} units")
-    _require_finite_inputs(inputs)
-
     count = len(reservoirs)
     seq = inputs.shape[1:-1]  # () for one sequence, (B,) for a batch
+    offset, start = (0, h0) if carry is None else carry
+    want = [(count,) + seq + (layer.size,) for layer in first.layers]
+    if carry is not None and (h0 is not None or [np.shape(h) for h in start] != want):
+        raise ValueError(f"a carry comes without h0 and holds states of shapes {want}")
+    _require_finite_inputs(inputs, offset)
+
     batch = int(np.prod(seq))
     chunk = max(1, _CHUNK // batch)
     n_chunks, n_layers = -(-t_total // chunk), first.n_layers
@@ -347,15 +357,16 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
 
     # per layer, the (S, chunk, *seq, N_l) view of its group's buffer that its
     # drive product writes, and its W_x.T and b stacked over the S reservoirs
-    plan, layers, unit = [], [], (1,) * len(seq)
+    plan, layers, carried, unit = [], [], [], (1,) * len(seq)
     for members in groups:
         stack = [m for l in members for m in positions[l]]  # slice j * S + s
         kind, n = kinds[members[0]], stack[0].size
         state = np.zeros((len(stack), batch, n))
         buf = np.zeros((chunk,) + state.shape)
         for j, l in enumerate(members):
-            if h0 is not None:
-                state[j * count:(j + 1) * count] = h0[l]
+            carried.append(state[j * count:(j + 1) * count].reshape(want[l]))
+            if start is not None:
+                carried[l][...] = start[l]
             w_x_t = np.stack([m.w_x for m in positions[l]]).transpose(0, 2, 1)
             b = np.stack([m.b for m in positions[l]])
             view = np.moveaxis(buf[:, j * count:(j + 1) * count], 1, 0)
@@ -410,14 +421,17 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
             t0, n = c * chunk, min(chunk, t_total - c * chunk)
             for s in np.flatnonzero(~np.isfinite(view[:, n - 1]).reshape(count, -1).all(axis=1)):
                 bad = ~np.isfinite(view[s, :n]).reshape(n, -1).all(axis=1)
-                key = (t0 + int(np.argmax(bad)), l)
+                key = (offset + t0 + int(np.argmax(bad)), l)
                 first_bad[s] = min(first_bad[s] or key, key)
             if l in cols and t0 + n > washout:
                 a = max(washout - t0, 0)
                 out[:, t0 + a - washout:t0 + n - washout, ..., cols[l]] = view[:, a:n]
     errors = [None if bad is None else f"non-finite state at step {bad[0]} in layer {bad[1] + 1}"
               for bad in first_bad]
-    return list(out), errors
+    # no kernel reads the groups' states again, so they take each layer's last one
+    for l, last in enumerate(carried):
+        np.copyto(last, layers[l][0][:, t_total - (n_chunks - 1) * chunk - 1])
+    return list(out), errors, (offset + t_total, carried)
 
 
 def forward(deep: DeepReservoir, inputs: np.ndarray,
@@ -433,9 +447,9 @@ def forward(deep: DeepReservoir, inputs: np.ndarray,
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
-    if inputs.ndim != 2 or len(inputs) == 0:
-        raise ValueError(f"inputs have shape {inputs.shape}, expected non-empty (T, N_x) or (T,)")
-    states, errors = run_states([deep], inputs, h0=h0)
+    if inputs.ndim != 2:
+        raise ValueError(f"inputs have shape {inputs.shape}, expected (T, N_x) or (T,)")
+    states, errors, _ = run_states([deep], inputs, h0=h0)
     if errors[0] is not None:
         raise StateOverflowError(errors[0])
     return np.split(states[0], np.cumsum([layer.size for layer in deep.layers])[:-1], axis=1)

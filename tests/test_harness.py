@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from deepreservoir.harness import (
     trial_seed,
 )
 from deepreservoir.numerics import RngStream
-from deepreservoir.reservoir import LayerConfig, ResidualKind, build_deep_reservoir, forward
+from deepreservoir.readout import fit, nrmse, predict
+from deepreservoir.reservoir import (
+    LayerConfig,
+    ResidualKind,
+    build_deep_reservoir,
+    forward,
+    run_states,
+)
 from deepreservoir.tasks import (
     Dataset,
     Split,
@@ -757,6 +765,99 @@ def test_readout_failure_fails_its_own_seed_alone(monkeypatch):
     assert np.isnan(together[1].val_metric) and np.isnan(together[1].test_metric)
     assert [_without_wall_time(together[i]) for i in (0, 2)] == \
         [_without_wall_time(alone[i]) for i in (0, 2)]
+
+
+def _one_call_scores(config, dataset, seed):
+    """A regression trial made the way every step's states are held at once:
+    one run_states call over the whole series, then the fit and the val and
+    test NRMSE; (message, [val, test]) for the seed."""
+    deep = harness.build_deep_reservoir(config.layer_configs(), dataset.input_dim,
+                                        RngStream(seed), concat=config.concat)
+    (feats,), (error,), _ = run_states([deep], dataset.inputs, config.washout, config.concat)
+    rows = [part - config.washout for part in harness._scored_rows(dataset, config.washout)]
+    if error is not None:
+        return error, None
+    w_o = fit(feats[rows[0]], dataset.targets[rows[0] + config.washout], config.lam)
+    return None, [nrmse(predict(w_o, feats[idx]), dataset.targets[idx + config.washout])
+                  for idx in rows[1:]]
+
+
+def _two_layer_config(**overrides):
+    return ExperimentConfig(**dict(dict(
+        model_class=ModelClass.DEEP_RES_ESN_C, task="toy", total_units=12, n_layers=2,
+        alpha=0.5, beta=0.5, inter_alpha=0.5, inter_beta=0.5, inter_rho=1.0, inter_omega_x=1.0,
+        inter_omega_b=0.1, washout=20), **overrides))
+
+
+@pytest.mark.parametrize("t_fail, span", [(300, "fit"), (450, "scored")])
+def test_a_seed_failing_in_either_span_fails_alone_naming_its_step_in_the_series(
+        t_fail, span, monkeypatch):
+    # seed 7's first layer has an infinite bias that an input of -10 turns
+    # into a NaN: at step 300, in train, or at step 450, in val, after the
+    # loop has resumed from the carried states; seeds 5 and 9 score as one
+    # run over the whole series scores them
+    dataset, _ = _tiny_task(length=600)
+    assert (dataset.split.train[-1], dataset.split.val[0]) == (399, 400)
+    dataset.inputs[t_fail] = -10.0
+    build = harness.build_deep_reservoir
+
+    def poisoned(configs, input_dim, rng, concat=False):
+        deep = build(configs, input_dim, rng, concat=concat)
+        if rng.seed == 7:
+            deep.layers[0].w_x[0, 0] = 1e308
+            deep.layers[0].b[0] = np.inf
+        return deep
+
+    monkeypatch.setattr(harness, "build_deep_reservoir", poisoned)
+    config = _two_layer_config()
+    with np.errstate(over="ignore", invalid="ignore"):
+        trials = harness.run_config(config, dataset, [5, 7, 9])
+        want = [_one_call_scores(config, dataset, seed) for seed in (5, 7, 9)]
+    assert trials[1].error == want[1][0] == f"non-finite state at step {t_fail} in layer 1"
+    assert np.isnan(trials[1].val_metric) and np.isnan(trials[1].test_metric)
+    for trial, (error, scores) in zip(trials[::2], want[::2]):
+        assert trial.error is error is None
+        assert [trial.val_metric, trial.test_metric] == scores
+
+
+@pytest.mark.parametrize("parts", [
+    pytest.param(((0, 200), (300, 450)), id="val-between-train-runs"),
+    pytest.param(((150, 450),), id="test-before-train")])
+def test_a_split_that_scores_a_step_before_its_last_train_step_is_scored(parts):
+    dataset, _ = _tiny_task(length=600)
+    train = np.concatenate([np.arange(*part) for part in parts])
+    scored = np.setdiff1d(np.arange(600), train)
+    val, test = (scored[:100], scored[100:]) if len(parts) == 2 else (scored[-150:],
+                                                                       scored[:-150])
+    dataset = dataclasses.replace(dataset, split=Split(train, val, test))
+    config = _two_layer_config()
+    for trial in harness.run_config(config, dataset, [5, 9]):
+        error, scores = _one_call_scores(config, dataset, trial.seed)
+        assert trial.error is error is None
+        assert np.allclose([trial.val_metric, trial.test_metric], scores, rtol=1e-12, atol=0)
+
+
+def test_a_regression_trial_holds_less_than_the_states_of_the_whole_series():
+    # narma30's shape at its registered length: 4 x 100 layers without
+    # concat and 4 seeds. The readouts are fitted before the val and test
+    # steps run, so the (S, T - washout, F) states of the whole series are
+    # never held at once; holding them took the traced peak to 39.1 MiB
+    # against their 29.9
+    dataset, _ = make_task("narma30", 1)
+    config = ExperimentConfig(
+        model_class=ModelClass.DEEP_RES_ESN_C, task="narma30", total_units=100, n_layers=4,
+        rho=0.9, omega_x=1.0, omega_b=0.1, alpha=0.5, beta=0.5, inter_alpha=0.5,
+        inter_beta=0.5, inter_rho=0.9, inter_omega_x=1.0, inter_omega_b=0.1)
+    seeds = [1, 2, 3, 4]
+    whole = len(seeds) * (len(dataset.inputs) - config.washout) * 100 * 8
+    tracemalloc.start()
+    try:
+        trials = harness.run_config(config, dataset, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(trial.failed for trial in trials)
+    assert peak < whole
 
 
 def test_trial_seed_stable_and_distinct():

@@ -203,7 +203,7 @@ def test_ill_conditioned_readout_scores_as_the_pseudo_inverse_does():
         deep = build_deep_reservoir(config.layer_configs(), dataset.input_dim,
                                     RngStream(harness.trial_seed(2027, 0, 0)),
                                     concat=config.concat)
-        (states,), _ = run_states([deep], dataset.inputs, config.washout, config.concat)
+        (states,), _, _ = run_states([deep], dataset.inputs, config.washout, config.concat)
         sp, first = dataset.split, config.washout
         train = sp.train[sp.train >= first]
         features, targets = states[train - first], dataset.targets[train]

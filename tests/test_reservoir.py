@@ -438,7 +438,7 @@ def test_run_states_matches_scalar_loop(kind, t_total, washout):
     deeps = [build_deep_reservoir(configs, 2, RngStream(seed)) for seed in (70, 71, 72)]
     inputs = RngStream(73).uniform(-1, 1, (t_total, 2))
     for concat in (False, True):
-        states, errors = run_states(deeps, inputs, washout, concat)
+        states, errors, _ = run_states(deeps, inputs, washout, concat)
         assert errors == [None] * 3
         for deep, got in zip(deeps, states):
             want = deep_residual_trajectory(deep.layers, inputs)
@@ -455,7 +455,7 @@ def test_run_states_batch_matches_per_sequence_loop(kind):
     deeps = [build_deep_reservoir(configs, 1, RngStream(seed)) for seed in (74, 75)]
     t_total, washout = 2 * (CHUNK // 3) + 11, CHUNK // 3 + 4
     batch = RngStream(76).uniform(-1, 1, (t_total, 3, 1))
-    states, errors = run_states(deeps, batch, washout)
+    states, errors, _ = run_states(deeps, batch, washout)
     assert errors == [None, None]
     for deep, got in zip(deeps, states):
         assert got.shape == (t_total - washout, 3, 20)
@@ -471,9 +471,9 @@ def test_run_states_stack_equals_each_reservoir_alone(kind):
     rng = RngStream(80)
     for inputs, washout in ((rng.uniform(-1, 1, (CHUNK + 9, 2)), 5),
                             (rng.uniform(-1, 1, (30, 4, 2)), 29)):
-        together, _ = run_states(deeps, inputs, washout)
+        together, _, _ = run_states(deeps, inputs, washout)
         for deep, got in zip(deeps, together):
-            alone, _ = run_states([deep], inputs, washout)
+            alone, _, _ = run_states([deep], inputs, washout)
             assert np.array_equal(got, alone[0])
 
 
@@ -493,10 +493,10 @@ def test_run_states_stack_of_mixed_hyperparameters_equals_each_reservoir_alone(k
     for inputs, washout in ((rng.uniform(-1, 1, (CHUNK + 9, 2)), 5),
                             (rng.uniform(-1, 1, (40, 7, 2)), 3),
                             (rng.uniform(-1, 1, (12, CHUNK + 44, 2)), 2)):
-        together, errors = run_states(deeps, inputs, washout, concat)
+        together, errors, _ = run_states(deeps, inputs, washout, concat)
         assert errors == [None] * 3
         for deep, got in zip(deeps, together):
-            alone, _ = run_states([deep], inputs, washout, concat)
+            alone, _, _ = run_states([deep], inputs, washout, concat)
             assert np.array_equal(got, alone[0])
 
 
@@ -505,8 +505,8 @@ def test_run_states_prefix_is_bit_identical():
     # does not depend on where the sequence ends
     deep = build_deep_reservoir([_config(n=40), _config(n=40)], 1, RngStream(88))
     inputs = RngStream(89).uniform(-1, 1, (2 * CHUNK + 5, 1))
-    short, _ = run_states([deep], inputs[:CHUNK + 10])
-    full, _ = run_states([deep], inputs)
+    short, _, _ = run_states([deep], inputs[:CHUNK + 10])
+    full, _, _ = run_states([deep], inputs)
     assert np.array_equal(short[0], full[0][:CHUNK + 10])
 
 
@@ -515,10 +515,10 @@ def test_run_states_fails_only_the_non_finite_reservoir():
              for seed in (81, 82, 83)]
     deeps[1].layers[1].b[0] = np.nan
     inputs = RngStream(84).uniform(-1, 1, (40, 1))
-    together, errors = run_states(deeps, inputs)
+    together, errors, _ = run_states(deeps, inputs)
     assert errors == [None, "non-finite state at step 0 in layer 2", None]
     for deep, got, error in zip(deeps, together, errors):
-        alone, alone_errors = run_states([deep], inputs)
+        alone, alone_errors, _ = run_states([deep], inputs)
         assert alone_errors == [error]
         if error is None:
             assert np.array_equal(got, alone[0])
@@ -552,6 +552,25 @@ def test_run_states_rejects_reservoirs_of_different_shapes():
         run_states([a, c], np.zeros((5, 1)))
 
 
+def test_run_states_refuses_no_reservoirs_by_name():
+    with pytest.raises(ValueError, match="^no reservoirs to run: run_states needs at least one$"):
+        run_states([], np.zeros((5, 1)))
+
+
+def test_run_states_refuses_a_carry_that_does_not_fit_the_run():
+    deep = build_deep_reservoir([_config(n=10), _config(n=9)], 1, RngStream(61))
+    _, _, carry = run_states([deep, deep], np.zeros((5, 1)))
+    message = r"^a carry comes without h0 and holds states of shapes \[\(2, 10\), \(2, 9\)\]$"
+    with pytest.raises(ValueError, match=message):
+        run_states([deep, deep], np.zeros((5, 1)), carry=carry, h0=[np.zeros(10), np.zeros(9)])
+    # one reservoir's carry would broadcast over two
+    _, _, one = run_states([deep], np.zeros((5, 1)))
+    with pytest.raises(ValueError, match=message):
+        run_states([deep, deep], np.zeros((5, 1)), carry=one)
+    with pytest.raises(ValueError, match=r"holds states of shapes \[\(2, 3, 10\), \(2, 3, 9\)\]$"):
+        run_states([deep, deep], np.zeros((5, 3, 1)), carry=carry)
+
+
 def _poisoned_pair():
     """Two 2-layer random stacks whose first layer has a NaN bias, so both
     fail at step 0 and every state they reach has a NaN."""
@@ -563,7 +582,7 @@ def _poisoned_pair():
 
 def test_run_states_returns_every_computed_state_of_a_failing_reservoir():
     deeps, inputs = _poisoned_pair()
-    states, errors = run_states(deeps, inputs)
+    states, errors, _ = run_states(deeps, inputs)
     assert errors == ["non-finite state at step 0 in layer 1"] * 2
     for deep, got in zip(deeps, states):
         assert not np.isfinite(got).all(axis=1).any()
@@ -587,14 +606,14 @@ def test_run_states_names_the_earliest_step_whatever_the_chunk_or_batch(batch, c
         inputs = np.stack([inputs] * 3, axis=1)
     monkeypatch.setattr(reservoir, "_CHUNK", chunk)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, errors = run_states([deep], inputs)
+        _, errors, _ = run_states([deep], inputs)
     assert errors == ["non-finite state at step 0 in layer 3"]
 
 
 def test_run_states_makes_as_many_kernel_calls_when_every_reservoir_fails(monkeypatch):
     deeps, inputs = _poisoned_pair()
     calls = _count_updates(monkeypatch)
-    _, errors = run_states(deeps, inputs)
+    _, errors, _ = run_states(deeps, inputs)
     assert errors == ["non-finite state at step 0 in layer 1"] * 2
     failing = len(calls)
     calls.clear()
@@ -623,7 +642,7 @@ def _layer_by_layer(deep, inputs, h0=None):
     bit however its layers are skewed and grouped."""
     drive, states = inputs, []
     for l, layer in enumerate(deep.layers):
-        got, errors = run_states([DeepReservoir([layer])], drive,
+        got, errors, _ = run_states([DeepReservoir([layer])], drive,
                                  h0=None if h0 is None else [h0[l]])
         assert errors == [None]
         states.append(got[0])
@@ -658,7 +677,7 @@ def test_run_states_stack_equals_its_layers_run_one_at_a_time(kind, concat, t_to
     deeps = [build_deep_reservoir(configs, 2, RngStream(seed)) for seed in (90, 91)]
     inputs = RngStream(92).uniform(-1, 1, (t_total, 2))
     washout = min(t_total - 1, CHUNK + 5)
-    states, errors = run_states(deeps, inputs, washout, concat)
+    states, errors, _ = run_states(deeps, inputs, washout, concat)
     assert errors == [None, None]
     for deep, got in zip(deeps, states):
         layers = _layer_by_layer(deep, inputs)
@@ -673,7 +692,7 @@ def test_run_states_batch_equals_its_layers_run_one_at_a_time(kind):
              for seed in (93, 94)]
     t_total, washout = 2 * (CHUNK // 3) + 11, CHUNK // 3 + 4
     batch = RngStream(95).uniform(-1, 1, (t_total, 3, 1))
-    states, errors = run_states(deeps, batch, washout)
+    states, errors, _ = run_states(deeps, batch, washout)
     assert errors == [None, None]
     for deep, got in zip(deeps, states):
         assert np.array_equal(got, np.concatenate(_layer_by_layer(deep, batch), axis=2)[washout:])
@@ -722,11 +741,11 @@ def test_run_states_splits_groups_where_the_residual_kind_changes(batch, budget,
     if budget is not None:
         monkeypatch.setattr(reservoir, "_GROUP_BYTES", budget)
     counted = _count_updates(monkeypatch)
-    states, errors = run_states(deeps, inputs, washout)
+    states, errors, _ = run_states(deeps, inputs, washout)
     assert errors == [None] * 3
     assert len(counted) == calls[batch]
     for deep, got in zip(deeps, states):
-        alone, alone_errors = run_states([deep], inputs, washout)
+        alone, alone_errors, _ = run_states([deep], inputs, washout)
         assert alone_errors == [None]
         assert np.array_equal(got, alone[0])
         assert np.array_equal(got, np.concatenate(_layer_by_layer(deep, inputs), axis=-1)[washout:])
@@ -750,7 +769,7 @@ def test_run_states_reports_the_earliest_step_first_across_the_skew(monkeypatch)
     deeps[2].layers[1].b[0] = np.nan
     calls = _count_updates(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, errors = run_states(deeps, inputs)
+        _, errors, _ = run_states(deeps, inputs)
     assert errors == ["non-finite state at step 0 in layer 3",
                       f"non-finite state at step {t_fail} in layer 1",
                       "non-finite state at step 0 in layer 2"]
@@ -778,7 +797,7 @@ def test_run_states_names_a_nan_that_first_appears_in_the_middle_of_a_chunk(kind
         inputs = inputs[:, 1]
     counted = _count_updates(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, errors = run_states(deeps, inputs)
+        _, errors, _ = run_states(deeps, inputs)
         assert len(counted) == calls
         alone = [run_states([deep], inputs)[1][0] for deep in deeps]
     assert errors == [None, "non-finite state at step 304 in layer 2", None]
@@ -800,21 +819,84 @@ def test_a_non_finite_state_stays_non_finite_in_its_layer(kind, alpha, value, n)
     h0[0][n // 2] = value
     inputs = RngStream(117).uniform(-1, 1, (CHUNK - 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        states, errors = run_states([deep], inputs, h0=h0)
+        states, errors, _ = run_states([deep], inputs, h0=h0)
     assert errors == ["non-finite state at step 0 in layer 1"]
     assert not np.isfinite(states[0][:, :n]).all(axis=1).any()
 
 
+# ---------------------------------------------------------------------------
+# resuming from the carry
+
+
+def _resumed(deeps, inputs, washout, concat, cuts):
+    """run_states over inputs cut at the steps in cuts, each run after the
+    first resumed from the carry of the one before: its states stacked, per
+    reservoir the first message any run gave, and the last carry."""
+    states, errors, carry = run_states(deeps, inputs[:cuts[0]], washout, concat)
+    spans = [states]
+    for a, b in zip(cuts, cuts[1:] + [len(inputs)]):
+        states, later, carry = run_states(deeps, inputs[a:b], 0, concat, carry=carry)
+        spans.append(states)
+        errors = [error or error_later for error, error_later in zip(errors, later)]
+    return [np.concatenate(per) for per in zip(*spans)], errors, carry
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+@pytest.mark.parametrize("sizes, count, batch", [
+    ((20, 20, 20), 2, None), ((12, 8, 10), 3, None), ((34, 33, 33), 2, None),
+    ((1, 1), 2, None), ((30,), 1, 1), ((10, 10, 10, 10), 2, 3), ((6, 5), 4, 2)])
+@pytest.mark.parametrize("poisoned", [False, True])
+def test_run_states_resumed_from_its_carry_equals_one_run(kind, sizes, count, batch, poisoned):
+    # cut at three random steps, a run resumed from each carry gives the
+    # states, messages and final carry of one run, bit for bit; poisoned,
+    # the last reservoir turns non-finite in layer 1 at a random step past
+    # the first cut (an infinite bias meets an input product that overflows
+    # the other way) and, with more than one, the first at step 0 in its top
+    # layer (a NaN bias)
+    draw = np.random.default_rng([sum(sizes), count, batch or 0, list(ResidualKind).index(kind)])
+    deeps = [build_deep_reservoir([_config(n=n, kind=kind) for n in sizes], 2, RngStream(seed))
+             for seed in range(200, 200 + count)]
+    t_total = 2 * CHUNK + 37 if batch is None else 2 * (CHUNK // batch) + 11
+    inputs = draw.uniform(-1, 1, (t_total, 2) if batch is None else (t_total, batch, 2))
+    washout = int(draw.integers(0, t_total // 4))
+    cuts = sorted(int(c) for c in draw.choice(np.arange(washout + 1, t_total), 3, replace=False))
+    want_errors = [None] * count
+    if poisoned:
+        t_fail = int(draw.integers(cuts[0], t_total))
+        inputs[t_fail].reshape(-1, 2)[-1, 0] = -10.0  # in the last sequence of a batch
+        deeps[-1].layers[0].w_x[0, 0] = 1e308
+        deeps[-1].layers[0].b[0] = np.inf
+        want_errors[-1] = f"non-finite state at step {t_fail} in layer 1"
+        if count > 1:
+            deeps[0].layers[-1].b[0] = np.nan
+            want_errors[0] = f"non-finite state at step 0 in layer {len(sizes)}"
+    for concat in (False, True):
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole, errors, (step, last) = run_states(deeps, inputs, washout, concat)
+            resumed, resumed_errors, (resumed_step, resumed_last) = _resumed(
+                deeps, inputs, washout, concat, cuts)
+        assert errors == resumed_errors == want_errors
+        assert step == resumed_step == t_total
+        for got, want in zip(resumed + resumed_last, whole + last):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+        # the carry holds every layer's last state, kept or not
+        top = np.stack(whole)[:, -1, ..., -sizes[-1]:]
+        assert np.array_equal(last[-1], top, equal_nan=True)
+
+
 @pytest.mark.parametrize("task, master_seed, model, budget, n_seeds, calls", [
     ("sinmem10", 2026, ModelClass.LEAKY_ESN, 4, 2, 24000),
-    ("sinmem10", 2026, ModelClass.DEEP_RES_ESN_C, 4, 2, 26048),
-    ("sinmem10", 2026, ModelClass.DEEP_RES_ESN_R, 4, 2, 31792),
-    ("narma30", 2027, ModelClass.DEEP_RES_ESN_C, 4, 4, 62048)])
+    ("sinmem10", 2026, ModelClass.DEEP_RES_ESN_C, 4, 2, 28096),
+    ("sinmem10", 2026, ModelClass.DEEP_RES_ESN_R, 4, 2, 33584),
+    ("narma30", 2027, ModelClass.DEEP_RES_ESN_C, 4, 4, 64096)])
 def test_the_benchmark_searches_make_a_pinned_number_of_kernel_calls(
         task, master_seed, model, budget, n_seeds, calls, monkeypatch):
     # the search shapes of the sinmem10 and narma30 benchmark workloads, in
     # process, at the registered lengths; the count does not depend on the
-    # data values, so it pins how the state loop groups and schedules its layers
+    # data values, so it pins how the state loop groups and schedules its layers;
+    # a regression trial runs the loop twice, fit span then scored span, so a
+    # deep stack fills and drains its layer pipeline once more
     dataset, task_class = make_task(task, 1)
     counted = _count_updates(monkeypatch)
     random_search(HyperGrid(), model, dataset, task, task_class, budget=budget,
@@ -848,7 +930,7 @@ for kind, seeds, shape in [(kind, seeds, (600, 1)) for kind in ("cyclic", "rando
                            for seeds in (2, 10)] + [("cyclic", 2, (64, 40, 1))]:
     config = LayerConfig(100, 0.9, 1.0, 0.1, 0.5, 0.5, ResidualKind(kind))
     deeps = [build_deep_reservoir([config] * 3, 1, RngStream(seed)) for seed in range(seeds)]
-    states, errors = run_states(deeps, RngStream(seeds).uniform(-1, 1, shape), 10)
+    states, errors, _ = run_states(deeps, RngStream(seeds).uniform(-1, 1, shape), 10)
     assert errors == [None] * seeds
     for s in states:
         digest.update(np.ascontiguousarray(s).tobytes())
@@ -986,7 +1068,7 @@ def test_run_states_one_unit_random_layers_stack_like_alone():
     signs = {float(deep.layers[0].o[0, 0]) for deep in deeps}
     assert signs == {1.0, -1.0}
     inputs = RngStream(78).uniform(-1, 1, (40, 1))
-    together, errors = run_states(deeps, inputs, 3)
+    together, errors, _ = run_states(deeps, inputs, 3)
     assert errors == [None] * 8
     for deep, got in zip(deeps, together):
         assert np.array_equal(got, run_states([deep], inputs, 3)[0][0])
