@@ -130,7 +130,15 @@ def _cmd_search(args) -> None:
 
 
 def _cmd_run(args) -> None:
-    config = ExperimentConfig.from_dict(json.loads(args.config.read_text()))
+    try:
+        spec = json.loads(args.config.read_text())
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise ValueError(f"{args.config} is not JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise ValueError(f"{args.config} holds a {type(spec).__name__}, not a JSON object")
+    if "model_class" not in spec:
+        raise ValueError(f"{args.config} names no model_class")
+    config = ExperimentConfig.from_dict(spec)
     dataset, _ = harness.make_task(config.task, args.seed, length=args.length)
     trials = harness.run_config(config, dataset, [harness.trial_seed(args.seed, config.config_id, j)
                                                   for j in range(args.seeds)])

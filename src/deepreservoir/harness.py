@@ -214,20 +214,14 @@ class ResultsTable:
     trials: list[TrialResult] = field(default_factory=list)
 
     def to_csv_lines(self) -> list[str]:
-        header = "config_id,val_mean,val_std,test_mean,test_std,n_seeds,n_failed"
-        lines = [header]
-        for r in self.rows:
-            lines.append("{config_id},{val_mean:.17g},{val_std:.17g},"
-                         "{test_mean:.17g},{test_std:.17g},{n_seeds},{n_failed}".format(**r))
-        return lines
+        return ["config_id,val_mean,val_std,test_mean,test_std,n_seeds,n_failed"] + [
+            "{config_id},{val_mean:.17g},{val_std:.17g},{test_mean:.17g},{test_std:.17g},"
+            "{n_seeds},{n_failed}".format(**r) for r in self.rows]
 
     def to_markdown_lines(self) -> list[str]:
-        lines = ["| config | val mean ± std | test mean ± std | failed |",
-                 "|---|---|---|---|"]
-        for r in self.rows:
-            lines.append("| {config_id} | {val_mean:.4g} ± {val_std:.2g} "
-                         "| {test_mean:.4g} ± {test_std:.2g} | {n_failed}/{n_seeds} |".format(**r))
-        return lines
+        return ["| config | val mean ± std | test mean ± std | failed |", "|---|---|---|---|"] + [
+            "| {config_id} | {val_mean:.4g} ± {val_std:.2g} | {test_mean:.4g} ± {test_std:.2g} "
+            "| {n_failed}/{n_seeds} |".format(**r) for r in self.rows]
 
 
 def sample_config(grid: HyperGrid, model_class: ModelClass, task: str, task_class: str,
@@ -583,6 +577,11 @@ def read_results_csv(path) -> list[dict]:
                              f"the header has {len(header)}")
         row: dict = {}
         for key, cell in zip(header, cells):
-            row[key] = int(cell) if key in ("config_id", "n_seeds", "n_failed") else float(cell)
+            count = key in ("config_id", "n_seeds", "n_failed")
+            try:
+                row[key] = int(cell) if count else float(cell)
+            except ValueError:
+                raise ValueError(f"{path} line {number} column {key}: {cell!r} is not "
+                                 f"{'a whole number' if count else 'a number'}") from None
         rows.append(row)
     return rows

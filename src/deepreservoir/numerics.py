@@ -55,8 +55,7 @@ class RngStream:
 
     def choice(self, values):
         """Uniform draw from a non-empty sequence of candidates."""
-        idx = int(self._gen.integers(0, len(values)))
-        return values[idx]
+        return values[int(self._gen.integers(0, len(values)))]
 
 
 def qr_orthogonal(n: int, rng: RngStream) -> np.ndarray:
@@ -74,16 +73,12 @@ def qr_orthogonal(n: int, rng: RngStream) -> np.ndarray:
     return q * signs
 
 
-def _require_square(m: np.ndarray) -> np.ndarray:
+def eigenvalues(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues (with multiplicity) of a square matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues (with multiplicity) of a square matrix."""
-    return np.linalg.eigvals(_require_square(m))
+    return np.linalg.eigvals(m)
 
 
 def spectral_radius(m: np.ndarray) -> float:

@@ -259,8 +259,7 @@ def _require_finite_inputs(inputs: np.ndarray, offset: int) -> None:
 
 
 def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int = 0,
-               concat: bool = True, h0: list[np.ndarray] | None = None,
-               carry: tuple[int, list[np.ndarray]] | None = None,
+               concat: bool = True, carry: tuple[int, list[np.ndarray]] | None = None,
                ) -> tuple[list[np.ndarray], list[str | None], tuple[int, list[np.ndarray]]]:
     """Run S reservoirs of one shape over a shared input and keep the
     states a readout needs: the one time loop.
@@ -271,17 +270,18 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
     draw o = [1] or [-1]) runs the product with each reservoir's own o.
     inputs is (T, N_x), or (T, B, N_x) for B equal-length sequences, with
     T and B at least 1; any other shape is refused, naming it. Every
-    reservoir starts from zero, from h0: one (N_l,) state per layer, which
-    every reservoir and sequence starts from, or from an earlier run's carry.
+    reservoir starts from zero, or from carry = (step, states): the step of
+    the first input, which messages count from, and per layer one (N_l,)
+    state that every reservoir and sequence starts from or the (S, *seq,
+    N_l) state a run returns; any other is refused, naming its layer.
 
     Returns per reservoir its states from step washout on, (T - washout, F)
     or (T - washout, B, F), the kept layers (all with concat, otherwise the
     last) side by side; per reservoir None or the message naming its first
     non-finite state: the earliest step, with the lowest layer on a tie; and
-    the carry (step, states): the step after the last one run and each
-    layer's (S, N_l) or (S, B, N_l) state there, kept or not, from which a
-    run over the inputs that follow resumes, naming steps from the first
-    run's start. Every returned row is a computed state, non-finite ones
+    the carry: the step after the last one run and each layer's state
+    there, kept or not, from which a run over the inputs that follow
+    resumes. Every returned row is a computed state, non-finite ones
     included, and a reservoir's states and message are bit-identical to
     those of a run on its own, whatever the chunk length, batch or resumes.
 
@@ -320,18 +320,16 @@ def run_states(reservoirs: list[DeepReservoir], inputs: np.ndarray, washout: int
         raise ValueError(f"washout must be >= 0, got {washout}")
     if washout >= t_total:
         raise ValueError(f"washout {washout} must be < sequence length {t_total}")
-    if h0 is not None and len(h0) != first.n_layers:
-        raise ValueError(f"h0 has {len(h0)} initial states, the stack has {first.n_layers} layers")
-    for l, layer in enumerate(first.layers if h0 is not None else []):
-        if np.shape(h0[l]) != (layer.size,):
-            raise ValueError(f"initial state of layer {l + 1} has shape {np.shape(h0[l])}, "
-                             f"the layer has {layer.size} units")
     count = len(reservoirs)
     seq = inputs.shape[1:-1]  # () for one sequence, (B,) for a batch
-    offset, start = (0, h0) if carry is None else carry
     want = [(count,) + seq + (layer.size,) for layer in first.layers]
-    if carry is not None and (h0 is not None or [np.shape(h) for h in start] != want):
-        raise ValueError(f"a carry comes without h0 and holds states of shapes {want}")
+    offset, start = (0, None) if carry is None else carry
+    if start is not None and len(start) != len(want):
+        raise ValueError(f"the start state has {len(start)} layers, the stack has {len(want)}")
+    for l, shape in enumerate(want if start is not None else []):
+        if np.shape(start[l]) not in (shape[-1:], shape):
+            raise ValueError(f"the start state of layer {l + 1} has shape {np.shape(start[l])}; "
+                             f"this run takes {shape[-1:]} or {shape}")
     _require_finite_inputs(inputs, offset)
 
     batch = int(np.prod(seq))
@@ -449,7 +447,7 @@ def forward(deep: DeepReservoir, inputs: np.ndarray,
         inputs = inputs[:, None]
     if inputs.ndim != 2:
         raise ValueError(f"inputs have shape {inputs.shape}, expected (T, N_x) or (T,)")
-    states, errors, _ = run_states([deep], inputs, h0=h0)
+    states, errors, _ = run_states([deep], inputs, carry=None if h0 is None else (0, h0))
     if errors[0] is not None:
         raise StateOverflowError(errors[0])
     return np.split(states[0], np.cumsum([layer.size for layer in deep.layers])[:-1], axis=1)

@@ -159,8 +159,7 @@ def gen_ctxor(t_steps: int, d: int, p: float, rng: RngStream) -> Dataset:
     if p < 1:
         raise ValueError("nonlinearity power must be >= 1")
     x = rng.uniform(-0.8, 0.8, t_steps)
-    y = ctxor_targets(x, d, p)
-    return Dataset(inputs=x, targets=y, kind="regression")
+    return Dataset(inputs=x, targets=ctxor_targets(x, d, p), kind="regression")
 
 
 def sinmem_targets(x: np.ndarray, d: int) -> np.ndarray:
@@ -174,8 +173,7 @@ def gen_sinmem(t_steps: int, d: int, rng: RngStream) -> Dataset:
     if t_steps <= d:
         raise ValueError("series length must exceed the delay")
     x = rng.uniform(-0.8, 0.8, t_steps)
-    y = sinmem_targets(x, d)
-    return Dataset(inputs=x, targets=y, kind="regression")
+    return Dataset(inputs=x, targets=sinmem_targets(x, d), kind="regression")
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +455,21 @@ def load_dataset(in_dir) -> Dataset:
     """Load a dataset cached by save_dataset; classification sequences come
     back as views into one array."""
     src = Path(in_dir)
-    with open(src / "manifest.json") as fh:
-        manifest = json.load(fh)
+    manifest = json.loads((src / "manifest.json").read_text())
     if manifest.get("format") != _CACHE_FORMAT:
         raise ValueError(f"{src}: not a {_CACHE_FORMAT} dataset cache (an older CSV "
                          "layout?); regenerate it with `deepreservoir generate-data`")
+    kind = manifest.get("kind")
+    if kind is None:
+        raise ValueError(f"{src}: manifest.json lacks kind")
     with np.load(src / "arrays.npz", allow_pickle=False) as z:
         arrays = {name: z[name] for name in z.files}
-    split_obj = None
-    if "split_train" in arrays:
-        split_obj = Split(train=arrays["split_train"], val=arrays["split_val"],
-                          test=arrays["split_test"])
-    if manifest["kind"] == "regression":
-        inputs = arrays["inputs"]
-    else:
-        inputs = np.split(arrays["sequences"], np.cumsum(arrays["lengths"])[:-1])
-    return Dataset(inputs=inputs, targets=arrays["targets"], kind=manifest["kind"],
-                   split=split_obj)
+    needed = (["inputs"] if kind == "regression" else ["sequences", "lengths"]) + ["targets"]
+    missing = [name for name in needed if name not in arrays]
+    if missing:
+        raise ValueError(f"{src}: arrays.npz lacks {', '.join(missing)}, which a {kind} cache needs")
+    split_obj = (Split(*(arrays[f"split_{part}"] for part in ("train", "val", "test")))
+                 if "split_train" in arrays else None)
+    inputs = (arrays["inputs"] if kind == "regression"
+              else np.split(arrays["sequences"], np.cumsum(arrays["lengths"])[:-1]))
+    return Dataset(inputs=inputs, targets=arrays["targets"], kind=kind, split=split_obj)

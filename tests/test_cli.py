@@ -202,6 +202,45 @@ def test_report_refuses_a_row_whose_cells_differ_from_the_header(tmp_path, capsy
     assert not (tmp_path / "results.md").exists()
 
 
+@pytest.mark.parametrize("row, column, cell, what", [
+    ("0,abc,0,0.5,0,1,0", "val_mean", "abc", "a number"),
+    ("0,0.5,0,0.5,0,0.5,0", "n_seeds", "0.5", "a whole number"),
+    ("x,0.5,0,0.5,0,1,0", "config_id", "x", "a whole number"),
+], ids=["float-cell", "fractional-count", "text-count"])
+def test_report_refuses_a_bad_cell_naming_its_file_line_and_column(tmp_path, capsys, row,
+                                                                   column, cell, what):
+    # these used to raise the bare "could not convert string to float: 'abc'"
+    # or "invalid literal for int() with base 10: '0.5'"
+    header = "config_id,val_mean,val_std,test_mean,test_std,n_seeds,n_failed"
+    (tmp_path / "results.csv").write_text(f"{header}\n1,0.5,0,0.5,0,1,0\n{row}\n")
+    rc = main(["report", "--results", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError",
+                   "message": f"{tmp_path / 'results.csv'} line 3 column {column}: "
+                              f"{cell!r} is not {what}"}
+    assert not (tmp_path / "results.md").exists()
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("{not json", " is not JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+    ("[1, 2]", " holds a list, not a JSON object"),
+    ('{"task": "sinmem10", "tau": 0.5}', " names no model_class"),
+], ids=["not-json", "not-an-object", "no-model-class"])
+def test_run_refuses_a_config_file_that_is_no_config_naming_the_file(tmp_path, capsys, text,
+                                                                     cause):
+    # a list used to fail as "cannot convert dictionary update sequence
+    # element #0 to a sequence", a missing model_class as the bare 'model_class'
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    rc = main(["run", "--config", str(cfg_path), "--seeds", "1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"{cfg_path}{cause}"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_failure_emits_machine_readable_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     rc = main(["run", "--config", str(missing), "--out", str(tmp_path)])

@@ -251,7 +251,8 @@ def test_step_dimension_mismatch():
     with pytest.raises(ValueError):
         step(deep, [np.zeros((4, 10))], np.zeros(2))
     for count in (0, 2):
-        with pytest.raises(ValueError, match=f"h0 has {count} initial states, the stack has 1"):
+        with pytest.raises(ValueError, match=f"^the start state has {count} layers, "
+                                             "the stack has 1$"):
             step(deep, [np.zeros(10)] * count, np.zeros(2))
 
 
@@ -391,23 +392,23 @@ def test_forward_rejects_wrong_number_of_initial_states():
     configs = [_config(kind=ResidualKind.CYCLIC), _config(kind=ResidualKind.CYCLIC)]
     deep = build_deep_reservoir(configs, 1, RngStream(60))
     for count in (1, 3):
-        message = f"^h0 has {count} initial states, the stack has 2 layers$"
+        message = f"^the start state has {count} layers, the stack has 2$"
         with pytest.raises(ValueError, match=message):
             forward(deep, np.zeros((5, 1)), h0=[np.zeros(10)] * count)
         # run_states owns the rule: one state too few used to raise an
         # IndexError there, and one too many was accepted
         with pytest.raises(ValueError, match=message):
-            run_states([deep, deep], np.zeros((5, 1)), h0=[np.zeros(10)] * count)
+            run_states([deep, deep], np.zeros((5, 1)), carry=(0, [np.zeros(10)] * count))
 
 
 def test_run_states_refuses_an_initial_state_of_the_wrong_shape_naming_its_layer():
     deep = build_deep_reservoir([_config(n=10), _config(n=9)], 1, RngStream(61))
-    with pytest.raises(ValueError, match=r"^initial state of layer 2 has shape \(10,\), "
-                                         r"the layer has 9 units$"):
-        run_states([deep, deep], np.zeros((5, 1)), h0=[np.zeros(10), np.zeros(10)])
-    with pytest.raises(ValueError, match=r"^initial state of layer 1 has shape \(1, 10\), "
-                                         r"the layer has 10 units$"):
-        forward(deep, np.zeros((5, 1)), h0=[np.zeros((1, 10)), np.zeros(9)])
+    with pytest.raises(ValueError, match=r"^the start state of layer 2 has shape \(10,\); "
+                                         r"this run takes \(9,\) or \(2, 9\)$"):
+        run_states([deep, deep], np.zeros((5, 1)), carry=(0, [np.zeros(10), np.zeros(10)]))
+    with pytest.raises(ValueError, match=r"^the start state of layer 1 has shape \(2, 10\); "
+                                         r"this run takes \(10,\) or \(1, 10\)$"):
+        forward(deep, np.zeros((5, 1)), h0=[np.zeros((2, 10)), np.zeros(9)])
 
 
 def test_step_chains_layers_like_forward():
@@ -560,14 +561,13 @@ def test_run_states_refuses_no_reservoirs_by_name():
 def test_run_states_refuses_a_carry_that_does_not_fit_the_run():
     deep = build_deep_reservoir([_config(n=10), _config(n=9)], 1, RngStream(61))
     _, _, carry = run_states([deep, deep], np.zeros((5, 1)))
-    message = r"^a carry comes without h0 and holds states of shapes \[\(2, 10\), \(2, 9\)\]$"
-    with pytest.raises(ValueError, match=message):
-        run_states([deep, deep], np.zeros((5, 1)), carry=carry, h0=[np.zeros(10), np.zeros(9)])
     # one reservoir's carry would broadcast over two
     _, _, one = run_states([deep], np.zeros((5, 1)))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=r"^the start state of layer 1 has shape \(1, 10\); "
+                                         r"this run takes \(10,\) or \(2, 10\)$"):
         run_states([deep, deep], np.zeros((5, 1)), carry=one)
-    with pytest.raises(ValueError, match=r"holds states of shapes \[\(2, 3, 10\), \(2, 3, 9\)\]$"):
+    with pytest.raises(ValueError, match=r"^the start state of layer 1 has shape \(2, 10\); "
+                                         r"this run takes \(10,\) or \(2, 3, 10\)$"):
         run_states([deep, deep], np.zeros((5, 3, 1)), carry=carry)
 
 
@@ -643,7 +643,7 @@ def _layer_by_layer(deep, inputs, h0=None):
     drive, states = inputs, []
     for l, layer in enumerate(deep.layers):
         got, errors, _ = run_states([DeepReservoir([layer])], drive,
-                                 h0=None if h0 is None else [h0[l]])
+                                    carry=None if h0 is None else (0, [h0[l]]))
         assert errors == [None]
         states.append(got[0])
         drive = got[0]
@@ -819,7 +819,7 @@ def test_a_non_finite_state_stays_non_finite_in_its_layer(kind, alpha, value, n)
     h0[0][n // 2] = value
     inputs = RngStream(117).uniform(-1, 1, (CHUNK - 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        states, errors, _ = run_states([deep], inputs, h0=h0)
+        states, errors, _ = run_states([deep], inputs, carry=(0, h0))
     assert errors == ["non-finite state at step 0 in layer 1"]
     assert not np.isfinite(states[0][:, :n]).all(axis=1).any()
 
@@ -883,6 +883,39 @@ def test_run_states_resumed_from_its_carry_equals_one_run(kind, sizes, count, ba
         # the carry holds every layer's last state, kept or not
         top = np.stack(whole)[:, -1, ..., -sizes[-1]:]
         assert np.array_equal(last[-1], top, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", list(ResidualKind))
+def test_run_states_from_one_shared_start_state_equals_its_broadcast_and_each_alone(kind):
+    # one (N_l,) state per layer, which every reservoir and sequence starts
+    # from, gives the states, messages and carry of the (S, B, N_l) carry
+    # that repeats it and of each reservoir run alone on the batch, bit for
+    # bit; the last reservoir turns non-finite in layer 1 at input step 90
+    # of its last sequence, which the carry's step names as 17 + 90
+    sizes, count, batch = (10, 10, 7), 3, 3
+    deeps = [build_deep_reservoir([_config(n=n, kind=kind) for n in sizes], 2, RngStream(seed))
+             for seed in range(220, 220 + count)]
+    inputs = RngStream(223).uniform(-1, 1, (2 * (CHUNK // batch) + 11, batch, 2))
+    inputs[90, -1, 0] = -10.0
+    deeps[-1].layers[0].w_x[0, 0] = 1e308
+    deeps[-1].layers[0].b[0] = np.inf
+    start = [RngStream(224 + l).uniform(-1, 1, n) for l, n in enumerate(sizes)]
+    full = [np.broadcast_to(h, (count, batch, len(h))).copy() for h in start]
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, errors, (end, last) = run_states(deeps, inputs, 5, True, carry=(17, start))
+        broadcast = run_states(deeps, inputs, 5, True, carry=(17, full))
+        alone = [run_states([deep], inputs, 5, True, carry=(17, start)) for deep in deeps]
+    assert errors == [None, None, "non-finite state at step 107 in layer 1"]
+    assert end == 17 + len(inputs)
+    # reservoir s of the shared run is reservoir r of another run: its
+    # states, its message, the carry's step and its layers' last states
+    runs = [(broadcast, s, s) for s in range(count)] + [(run, 0, s) for s, run in enumerate(alone)]
+    for (got_states, got_errors, (got_end, got_last)), r, s in runs:
+        assert (got_errors[r], got_end) == (errors[s], end)
+        for got, want in zip([got_states[r]] + [h[r] for h in got_last],
+                             [states[s]] + [h[s] for h in last]):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("task, master_seed, model, budget, n_seeds, calls", [

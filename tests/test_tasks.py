@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -556,3 +559,30 @@ def test_cache_rejects_old_csv_layout(tmp_path):
     with pytest.raises(ValueError, match="regenerate it with `deepreservoir generate-data`") as err:
         load_dataset(old)
     assert str(old) in str(err.value)
+
+
+@pytest.mark.parametrize("kind, dropped", [
+    ("regression", "targets"), ("regression", "inputs"), ("classification", "sequences"),
+    ("classification", "lengths"), ("classification", "targets")])
+def test_cache_refuses_an_array_its_kind_needs_by_name(tmp_path, kind, dropped):
+    # a cache without targets used to raise the bare KeyError: 'targets'
+    ds = (split(gen_sinmem(120, 10, RngStream(17)), (80, 20, 20)) if kind == "regression"
+          else split(_toy_classification(n_per_class=4, t=6), 0.5, seed=0))
+    cache = tmp_path / "cache"
+    save_dataset(ds, cache)
+    with np.load(cache / "arrays.npz") as z:
+        arrays = {name: z[name] for name in z.files if name != dropped}
+    np.savez(cache / "arrays.npz", **arrays)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cache))}: arrays.npz lacks "
+                                         f"{dropped}, which a {kind} cache needs$"):
+        load_dataset(cache)
+
+
+def test_cache_refuses_a_manifest_without_its_kind(tmp_path):
+    cache = tmp_path / "cache"
+    save_dataset(split(gen_sinmem(120, 10, RngStream(17)), (80, 20, 20)), cache)
+    manifest = json.loads((cache / "manifest.json").read_text())
+    del manifest["kind"]
+    (cache / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cache))}: manifest.json lacks kind$"):
+        load_dataset(cache)
